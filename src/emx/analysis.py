@@ -2,9 +2,10 @@
 
 descend turns an (m+1)-to-m scheme on a domain into an m-to-(m-1) scheme
 on a chosen sub-domain, by anchoring on a point the sub-domain's
-reconstructions can never produce. search_schemes decides, for small
-finite domains, whether any sound selection scheme with a bounded
-reconstruction size exists at all.
+reconstructions can never produce. search_schemes decides by the exact
+counting bound whether a sound selection scheme with a bounded
+reconstruction size exists on n points, and builds the lexicographically
+first witness by augmenting paths.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ class SearchProblem:
 
 @dataclass(frozen=True)
 class SearchResult:
-    verdict: str  # "SAT" | "UNSAT" | "UNDECIDED"
+    verdict: str  # "SAT" | "UNSAT"
     problem: SearchProblem
-    nodes: int
+    nodes: int  # matcher edge visits; 0 when the counting bound refutes
     reason: str
     sigma_table: tuple[tuple[tuple[int, ...], int], ...] | None = None
     eta_table: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
@@ -160,84 +161,98 @@ class SearchResult:
 
 
 def counting_refutes(problem: SearchProblem) -> bool:
-    """Necessary covering bound. If sigma drops e from beta, the m-set
-    beta - {e} must reconstruct its own m points plus e, so each m-set can
-    vouch for at most budget - m dropped partners; all C(n, m+1) subsets
-    need a slot among C(n, m) * (budget - m)."""
+    """Exact existence test: True iff no sound scheme exists. If sigma
+    drops e from beta, the m-set beta - {e} must reconstruct its own m
+    points plus e, so each m-set can hold at most budget - m dropped
+    partners; all C(n, m+1) subsets need a slot among C(n, m) *
+    (budget - m). The bound is also sufficient: every (m+1)-set has m+1
+    m-subsets and every m-set n - m supersets, so by Hall's theorem on
+    this biregular graph (and flow integrality) the slots can be assigned
+    whenever (n - m) / (m + 1) <= budget - m, which is the same inequality."""
     capacity = max(0, problem.budget - problem.m)
     return comb(problem.n, problem.m + 1) > comb(problem.n, problem.m) * capacity
 
 
-def search_schemes(
-    problem: SearchProblem,
-    node_limit: int = 2_000_000,
-    use_precheck: bool = True,
-) -> SearchResult:
-    """Backtracking over which point each (m+1)-subset drops.
+def search_schemes(problem: SearchProblem) -> SearchResult:
+    """Decide existence by the counting bound and build the witness by
+    augmenting paths (Kuhn; Hopcroft & Karp 1973).
 
-    Assigning drop e to beta loads the m-set beta - {e}; a load of more
-    than budget - m distinct partners is infeasible, which prunes the
-    branch. Domain points are interchangeable a priori, so the first
-    subset's drop is fixed to its smallest element (isomorph pruning; the
-    verdict is unaffected). UNSAT is only returned after exhausting the
-    pruned space or from the counting bound; hitting the node limit yields
-    UNDECIDED, never a silent UNSAT. A SAT witness is re-verified
-    exhaustively before it is returned.
+    Each (m+1)-set beta is matched to an m-set beta - {d}, its edges taken
+    in ascending d; an m-set holds at most budget - m sets. augment(i, lo)
+    searches from set i for an m-set with a free slot, passing through a
+    full m-set only by moving one of its holders whose index is >= lo.
+    Pass 1 matches every set. Pass 2 releases each set i in order and
+    re-augments it with sets 0..i fixed, which gives i its smallest
+    feasible drop: the result is the lexicographically first assignment.
+    The search is iterative, so path length is not bounded by the
+    recursion limit. The witness is re-verified exhaustively before it is
+    returned.
     """
-    if use_precheck and counting_refutes(problem):
+    if counting_refutes(problem):
         return SearchResult("UNSAT", problem, 0, "counting bound")
 
-    n, m, budget = problem.n, problem.m, problem.budget
+    n, m, capacity = problem.n, problem.m, problem.budget - problem.m
     betas = list(combinations(range(n), m + 1))
-    capacity = budget - m
-    if capacity <= 0 and betas:
-        return SearchResult("UNSAT", problem, 0, "budget below arity + 1")
-
-    loads: dict[tuple[int, ...], set[int]] = {}
-    assignment: list[int] = [-1] * len(betas)
+    ts = list(combinations(range(n), m))
+    t_index = {t: k for k, t in enumerate(ts)}
+    edges = [[t_index[beta[:d] + beta[d + 1:]] for d in range(m + 1)] for beta in betas]
+    holders: list[list[int]] = [[] for _ in ts]
+    match: list[int | None] = [None] * len(betas)  # position of the dropped point in beta
     nodes = 0
 
-    def backtrack(i: int) -> bool | None:
+    def augment(root: int, lo: int) -> bool:
         nonlocal nodes
-        if i == len(betas):
-            return True
-        beta = betas[i]
-        choices = beta[:1] if i == 0 else beta
-        for dropped in choices:
+        seen = bytearray(len(ts))
+        parent: dict[int, tuple[int, int]] = {}  # displaced set -> (set, edge) taking its slot
+        # exhaust each first edge before trying the next, so a later edge's
+        # slot is never marked seen early: root gets its smallest feasible drop
+        for first, t in enumerate(edges[root]):
             nodes += 1
-            if nodes > node_limit:
-                return None
-            t = tuple(v for v in beta if v != dropped)
-            load = loads.setdefault(t, set())
-            fresh = dropped not in load
-            if fresh and len(load) >= capacity:
+            if seen[t]:
                 continue
-            if fresh:
-                load.add(dropped)
-            assignment[i] = dropped
-            result = backtrack(i + 1)
-            if result:
-                return True
-            if result is None:
-                return None
-            if fresh:
-                load.remove(dropped)
-            assignment[i] = -1
+            seen[t] = 1
+            stack = [(root, first)]
+            while stack:
+                j, pos = stack.pop()
+                slot = edges[j][pos]
+                if len(holders[slot]) < capacity:
+                    while True:  # j takes slot; the set it displaced moves on
+                        old = match[j]
+                        holders[slot].append(j)
+                        match[j] = pos
+                        if old is None:
+                            return True
+                        holders[edges[j][old]].remove(j)
+                        j, pos = parent[j]
+                        slot = edges[j][pos]
+                for k in holders[slot]:
+                    if k < lo:
+                        continue
+                    parent[k] = (j, pos)
+                    for p, t2 in enumerate(edges[k]):
+                        nodes += 1
+                        if not seen[t2]:
+                            seen[t2] = 1
+                            stack.append((k, p))
         return False
 
-    outcome = backtrack(0)
-    if outcome is None:
-        return SearchResult("UNDECIDED", problem, nodes, f"node limit {node_limit} reached")
-    if not outcome:
-        return SearchResult("UNSAT", problem, nodes, "search space exhausted")
+    for i in range(len(betas)):
+        if not augment(i, 0):
+            raise AssertionError("matcher failed where the counting bound admits a scheme")
+    for i in range(len(betas)):
+        holders[edges[i][match[i]]].remove(i)
+        match[i] = None
+        if not augment(i, i + 1):
+            raise AssertionError("matcher lost a set while fixing the first assignment")
 
+    assignment = [beta[pos] for beta, pos in zip(betas, match)]
     sigma_map = {
         frozenset(beta): frozenset(beta) - {dropped}
         for beta, dropped in zip(betas, assignment)
     }
     eta_map = {
-        frozenset(t): frozenset(t) | frozenset(loads.get(t, ()))
-        for t in combinations(range(n), m)
+        frozenset(t): frozenset(t).union(assignment[k] for k in held)
+        for t, held in zip(ts, holders)
     }
 
     def compress(beta: frozenset[int]) -> frozenset[int]:
@@ -252,16 +267,13 @@ def search_schemes(
         except KeyError:
             raise SchemeError(f"subset {sorted(t)} outside the searched domain") from None
 
-    witness = MonotoneScheme(m, compress, reconstruct, budget=budget)
+    witness = MonotoneScheme(m, compress, reconstruct, budget=problem.budget)
     report = verify_soundness(witness, map(frozenset, betas))
     if not report.ok:
         raise AssertionError("searcher produced an unsound witness")
 
-    sigma_table = tuple((beta, dropped) for beta, dropped in zip(betas, assignment))
-    eta_table = tuple(
-        (t, tuple(sorted(eta_map[frozenset(t)])))
-        for t in combinations(range(n), m)
-    )
+    sigma_table = tuple(zip(betas, assignment))
+    eta_table = tuple((t, tuple(sorted(eta_map[frozenset(t)]))) for t in ts)
     return SearchResult("SAT", problem, nodes, "witness verified", sigma_table, eta_table, witness)
 
 

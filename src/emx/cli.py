@@ -32,7 +32,7 @@ from .schemes import seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
 DESCEND_SUBSET_LIMIT = 20_000
-SEARCH_DOMAIN_GUARD = 8
+SEARCH_SUBSET_LIMIT = 2_000
 
 
 def _write_text(path: str, text: str) -> None:
@@ -75,7 +75,7 @@ def cmd_verify(args) -> int:
     tower = cfg.build_tower(domain)
     scheme = cfg.build_scheme(tower)
     subsets = _verify_subsets(cfg, domain, scheme.m)
-    report = verify_soundness(scheme, subsets, workers=args.workers)
+    report = verify_soundness(scheme, subsets)
 
     os.makedirs(args.out, exist_ok=True)
     violations = set(report.violations)
@@ -128,7 +128,6 @@ def cmd_evaluate(args) -> int:
             confidence=confidence,
             delta=delta,
             keep_records=per_trial,
-            workers=args.workers,
         )
         for m in m_values
         for eps in epsilons
@@ -190,26 +189,22 @@ def cmd_search(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.n > SEARCH_DOMAIN_GUARD:
-        if counting_refutes(problem):
-            print("UNSAT (counting bound)")
-            return 1
+    witness_size = comb(args.n, args.m + 1)
+    if witness_size > SEARCH_SUBSET_LIMIT and not counting_refutes(problem):
         print(
-            f"error: n > {SEARCH_DOMAIN_GUARD} is outside the exhaustive-search guard "
-            "and the counting bound does not refute",
+            f"error: a witness would tabulate {witness_size} subsets, above the "
+            f"{SEARCH_SUBSET_LIMIT} guard",
             file=sys.stderr,
         )
         return 2
-    result = search_schemes(problem, node_limit=args.node_limit)
+    result = search_schemes(problem)
     print(f"{result.verdict} ({result.reason}; {result.nodes} nodes)")
-    if result.verdict == "SAT":
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            _write_text(os.path.join(args.out, "witness.txt"), witness_to_text(result))
-        return 0
     if result.verdict == "UNSAT":
         return 1
-    return 3
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        _write_text(os.path.join(args.out, "witness.txt"), witness_to_text(result))
+    return 0
 
 
 def cmd_descend(args) -> int:
@@ -307,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=1, help="worker threads")
 
     p_verify = sub.add_parser("verify", help="check scheme soundness over subsets")
     add_common(p_verify)
@@ -324,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("m", type=int, help="scheme arity (searches (m+1)-to-m)")
     p_search.add_argument("budget", type=int, help="max reconstruction size")
     p_search.add_argument("--out", default=None, help="directory for the witness dump")
-    p_search.add_argument("--node-limit", type=int, default=2_000_000)
     p_search.set_defaults(func=cmd_search)
 
     p_descend = sub.add_parser("descend", help="reduce scheme arity on a sub-domain")

@@ -3,7 +3,7 @@ and the max-coverage training baseline.
 
 All probability arithmetic is exact (fractions.Fraction). Floats appear
 only in Monte Carlo summaries downstream. Every value here is immutable
-after construction and safe to share across workers.
+after construction.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ hypothesis. Floats enter only in the confidence half-width.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .core import (
     draw_sample,
     expectation,
 )
-from .schemes import MonotoneScheme
+from .schemes import MonotoneScheme, SchemeError
 from .seeds import split_seed
 
 
@@ -108,17 +107,16 @@ def evaluate(
     confidence: float = 0.99,
     delta: Fraction | int | str | None = None,
     keep_records: bool = False,
-    workers: int = 1,
 ) -> EvalReport:
     """Run independent sample-learn-measure rounds.
 
     Trial i draws with split_seed(seed, i), so identical arguments
-    reproduce the report exactly and trials may run in parallel. Learner
-    errors (reconstruction cap) are counted separately, never dropped;
-    the failure rate is over completed trials. Two invariants are
-    asserted on every trial: the hypothesis is finite by construction,
-    and it captures at least the sample's own distinct mass, because the
-    reconstruction contains the sample.
+    reproduce the report exactly. Learner errors (reconstruction cap) are
+    counted separately, never dropped; the failure rate is over completed
+    trials. The hypothesis is finite by construction, and every trial
+    checks that it captures at least the sample's own distinct mass, which
+    a sound scheme guarantees because the reconstruction contains the
+    sample; an unsound scheme raises SchemeError.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -134,14 +132,11 @@ def evaluate(
             return TrialRecord(index, child, None, False, str(err))
         captured = expectation(dist, hypothesis)
         floor = sum((dist.mass(pid) for pid in sample.distinct()), Fraction(0))
-        assert captured >= floor, "hypothesis lost sample mass"
+        if captured < floor:
+            raise SchemeError(f"trial {index}: hypothesis lost sample mass (scheme unsound)")
         return TrialRecord(index, child, captured, captured <= threshold, None)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, range(trials)))
-    else:
-        records = [run(i) for i in range(trials)]
+    records = [run(i) for i in range(trials)]
 
     errors = sum(1 for r in records if r.error is not None)
     completed = trials - errors

@@ -12,7 +12,6 @@ descent reduction relies on.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -139,16 +138,12 @@ def _canonical(subset: Iterable[int]) -> tuple[int, ...]:
 def verify_soundness(
     scheme: MonotoneScheme,
     subsets: Iterable[Iterable[int]],
-    workers: int = 1,
 ) -> SoundnessReport:
     """Recheck the containment contract on every given subset.
 
     Wrong-size subsets are recorded as malformed instead of aborting.
-    Checks are independent and may fan out across workers; the report is
-    merged in canonical sorted order either way.
+    Violations and malformed subsets are listed in canonical sorted order.
     """
-    items = [frozenset(s) for s in subsets]
-
     def check(beta: frozenset[int]) -> tuple[str, frozenset[int]]:
         if len(beta) != scheme.m + 1:
             return "malformed", beta
@@ -156,11 +151,7 @@ def verify_soundness(
             return "ok", beta
         return "violation", beta
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, items))
-    else:
-        results = [check(beta) for beta in items]
+    results = [check(frozenset(s)) for s in subsets]
 
     violations = sorted((b for tag, b in results if tag == "violation"), key=_canonical)
     malformed = sorted(_canonical(b) for tag, b in results if tag == "malformed")

@@ -12,12 +12,15 @@ from itertools import combinations, product
 from math import floor
 
 
-def scheme_exists_brute_force(n: int, m: int, budget: int) -> bool:
-    """Does any sound (m+1)-to-m selection scheme with |eta| <= budget exist
-    on n points? Enumerate every way to pick the dropped point of every
-    (m+1)-subset; the minimal reconstruction of an m-set is itself plus
-    everything dropped onto it, so an assignment works iff every minimal
-    reconstruction fits the budget."""
+def first_assignment_brute_force(
+    n: int, m: int, budget: int
+) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """First sound (m+1)-to-m selection scheme with |eta| <= budget on n
+    points, in `product` order over the dropped point of every (m+1)-subset
+    (subsets in lexicographic order, drops ascending), as (subset, dropped)
+    pairs; None if there is none. The minimal reconstruction of an m-set is
+    itself plus everything dropped onto it, so an assignment works iff
+    every minimal reconstruction fits the budget."""
     betas = list(combinations(range(n), m + 1))
     for choice in product(range(m + 1), repeat=len(betas)):
         loads: dict[tuple[int, ...], set[int]] = defaultdict(set)
@@ -25,8 +28,14 @@ def scheme_exists_brute_force(n: int, m: int, budget: int) -> bool:
             dropped = beta[pick]
             loads[tuple(v for v in beta if v != dropped)].add(dropped)
         if all(len(set(t) | extra) <= budget for t, extra in loads.items()):
-            return True
-    return False
+            return tuple((beta, beta[pick]) for beta, pick in zip(betas, choice))
+    return None
+
+
+def scheme_exists_brute_force(n: int, m: int, budget: int) -> bool:
+    """Does any sound (m+1)-to-m selection scheme with |eta| <= budget exist
+    on n points?"""
+    return first_assignment_brute_force(n, m, budget) is not None
 
 
 def calkin_wilf_bfs(count: int) -> list[Fraction]:

@@ -1,7 +1,7 @@
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from emx.analysis import (
     DescentError,
@@ -22,12 +22,27 @@ from emx.schemes import (
     verify_soundness,
 )
 from emx.towers import enumerated_tower, finite_proxy_tower
-from oracles import scheme_exists_brute_force
+from oracles import first_assignment_brute_force, scheme_exists_brute_force
 
 # depth-1 proxy instance whose reconstruction image leaves an anchor free
 # (most seeds cover the whole 60-point domain; this one does not)
 PROXY_SIZE = 60
 PROXY_SEED = 2510
+
+# every (n, m, budget) whose assignment space the oracle can walk quickly;
+# budgets <= m leave no slot at all and would force full enumeration
+ENUMERABLE = [
+    (n, m, budget)
+    for n in range(2, 9)
+    for m in range(n)
+    if (m + 1) ** comb(n, m + 1) <= 60_000
+    for budget in range(m + 1, n + 2)
+]
+
+
+@pytest.fixture(scope="module")
+def first_assignments():
+    return {case: first_assignment_brute_force(*case) for case in ENUMERABLE}
 
 
 def naturals_scheme():
@@ -114,15 +129,16 @@ class TestCountingBound:
         assert counting_refutes(SearchProblem(5, 1, 2))
         assert not counting_refutes(SearchProblem(5, 1, 3))
 
-    @given(st.integers(2, 6), st.integers(0, 3), st.integers(1, 8))
-    @settings(max_examples=40)
-    def test_refutation_implies_search_refutation(self, n, m, budget):
-        if n < max(m + 1, 2):
-            return
-        problem = SearchProblem(n, m, budget)
-        if counting_refutes(problem):
-            result = search_schemes(problem, use_precheck=False)
-            assert result.verdict == "UNSAT"
+    def test_bound_is_exact_on_enumerable_grid(self, first_assignments):
+        for (n, m, budget), first in first_assignments.items():
+            problem = SearchProblem(n, m, budget)
+            exists = first is not None
+            assert counting_refutes(problem) == (not exists), (n, m, budget)
+            result = search_schemes(problem)
+            if exists:
+                assert result.verdict == "SAT"
+            else:
+                assert (result.verdict, result.reason, result.nodes) == ("UNSAT", "counting bound", 0)
 
 
 class TestSearch:
@@ -163,16 +179,18 @@ class TestSearch:
             assert search_schemes(SearchProblem(5, 1, budget)).verdict == "UNSAT"
         assert search_schemes(SearchProblem(5, 1, 3)).verdict == "SAT"
 
-    def test_node_limit_yields_undecided(self):
-        result = search_schemes(SearchProblem(6, 2, 4), node_limit=3, use_precheck=False)
-        assert result.verdict == "UNDECIDED"
-        assert "node limit" in result.reason
+    @pytest.mark.parametrize("n,m,budget", [(7, 2, 4), (7, 3, 4), (8, 2, 5)])
+    def test_tight_cases_have_verified_witnesses(self, n, m, budget):
+        result = search_schemes(SearchProblem(n, m, budget))
+        assert result.verdict == "SAT"
+        assert verify_soundness(result.witness, combinations(range(n), m + 1)).ok
+        assert all(len(out) <= budget for _, out in result.eta_table)
 
-    def test_precheck_agrees_with_exhaustion(self):
-        fast = search_schemes(SearchProblem(5, 1, 2))
-        slow = search_schemes(SearchProblem(5, 1, 2), use_precheck=False)
-        assert fast.verdict == slow.verdict == "UNSAT"
-        assert slow.reason == "search space exhausted"
+    def test_witness_is_first_assignment_in_product_order(self, first_assignments):
+        for (n, m, budget), first in first_assignments.items():
+            if first is not None:
+                result = search_schemes(SearchProblem(n, m, budget))
+                assert result.sigma_table == first, (n, m, budget)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):

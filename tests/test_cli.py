@@ -1,7 +1,9 @@
 import json
+from math import comb
 from pathlib import Path
 
-from emx.cli import main
+from emx.analysis import SearchProblem, counting_refutes
+from emx.cli import SEARCH_SUBSET_LIMIT, main
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -149,19 +151,33 @@ class TestSearch:
         assert main(["search", "5", "1", "2"]) == 1
         assert main(["search", "5", "1", "3", "--out", str(tmp_path / "w")]) == 0
 
-    def test_large_n_guard(self, capsys):
-        # counting still refutes, so a verdict is allowed
+    def test_large_n_guard(self, tmp_path, capsys):
+        # UNSAT needs no witness, so it is answered at any size
         assert main(["search", "9", "0", "3"]) == 1
-        # counting cannot refute: outside the exhaustive guard
-        assert main(["search", "9", "3", "8"]) == 2
-        assert "guard" in capsys.readouterr().err
+        assert main(["search", "1000", "2", "5"]) == 1
+        out = tmp_path / "w"
+        assert main(["search", "9", "3", "8", "--out", str(out)]) == 0
+        etas = [line for line in (out / "witness.txt").read_text().splitlines() if line.startswith("eta: ")]
+        assert len(etas) == comb(9, 3)
+        assert all(len(line.split("|")[1].split()) <= 8 for line in etas)
+        capsys.readouterr()
+        # SAT, but the witness would tabulate more subsets than the guard allows
+        assert comb(17, 4) > SEARCH_SUBSET_LIMIT
+        assert main(["search", "17", "3", "8"]) == 2
+        assert str(SEARCH_SUBSET_LIMIT) in capsys.readouterr().err
+
+    def test_largest_guarded_case_builds(self, tmp_path):
+        n = max(n for n in range(4, 40) if comb(n, 4) <= SEARCH_SUBSET_LIMIT)
+        budget = next(b for b in range(4, n) if not counting_refutes(SearchProblem(n, 3, b)))
+        assert main(["search", str(n), "3", str(budget), "--out", str(tmp_path / "w")]) == 0
+        assert (tmp_path / "w" / "witness.txt").exists()
 
     def test_invalid_problem_exits_two(self, capsys):
         assert main(["search", "1", "0", "2"]) == 2
 
-    def test_node_limit_exits_three(self, tmp_path, capsys):
-        assert main(["search", "6", "2", "4", "--node-limit", "2"]) == 3
-        assert "UNDECIDED" in capsys.readouterr().out
+    def test_tight_seven_point_case_exits_zero(self, capsys):
+        assert main(["search", "7", "2", "4"]) == 0
+        assert capsys.readouterr().out.startswith("SAT")
 
 
 class TestDescend:

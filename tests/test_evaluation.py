@@ -7,7 +7,7 @@ from emx.calkin_wilf import calkin_wilf_domain
 from emx.chains import ResourceLimitError
 from emx.core import FiniteDomain, FiniteSupportDistribution, Sample, draw_sample, naturals_domain
 from emx.evaluation import EmxLearner, apply_learner, evaluate, normal_quantile
-from emx.schemes import enumeration_scheme, tower_scheme
+from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
 from emx.towers import enumerated_tower, finite_proxy_tower
 
 
@@ -110,12 +110,6 @@ class TestEvaluate:
         b = evaluate(tank_learner(), dist, 6, Fraction(1, 4), 300, seed=5, keep_records=True)
         assert a == b
 
-    def test_workers_do_not_change_the_report(self):
-        dist = FiniteSupportDistribution.uniform(range(1, 13))
-        a = evaluate(tank_learner(), dist, 5, Fraction(1, 3), 200, seed=8, keep_records=True)
-        b = evaluate(tank_learner(), dist, 5, Fraction(1, 3), 200, seed=8, keep_records=True, workers=4)
-        assert a == b
-
     def test_errors_counted_not_dropped(self):
         learner = EmxLearner(
             tower_scheme(finite_proxy_tower(FiniteDomain(size=50), 1, 4)), d=2, cap=5
@@ -132,6 +126,13 @@ class TestEvaluate:
         for rec in report.records:
             assert rec.captured is not None
             assert rec.captured >= 0
+
+    def test_lost_sample_mass_raises(self):
+        # identity eta reconstructs only the kernel, dropping sample points
+        learner = EmxLearner(identity_eta_scheme(1), d=1)
+        dist = FiniteSupportDistribution.uniform(range(1, 11))
+        with pytest.raises(SchemeError, match="lost sample mass"):
+            evaluate(learner, dist, 5, Fraction(1, 4), 10, seed=0)
 
     def test_trials_must_be_positive(self):
         dist = FiniteSupportDistribution.uniform([1, 2])

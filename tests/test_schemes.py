@@ -138,11 +138,6 @@ class TestVerifySoundness:
         assert report.malformed == ((1, 2, 3), (4,))
         assert not report.ok
 
-    def test_workers_agree_with_serial(self):
-        scheme = naturals_scheme()
-        subsets = list(combinations(range(14), 2))
-        assert verify_soundness(scheme, subsets) == verify_soundness(scheme, subsets, workers=4)
-
 
 class TestSchemeContract:
     def test_selection_violation_is_caught(self):
