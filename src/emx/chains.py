@@ -89,29 +89,38 @@ def decompress_chain(
 
     Growth is monotone and every round adds finitely many points. Subsets
     already expanded are memoized and skipped, and expansion stops early
-    once a round adds nothing (no later round could). The cap turns
-    combinatorial blowup into an explicit error naming the iteration and
-    the size reached.
+    once a round adds nothing (no later round could). On a scheme with a
+    universe (the point set of a finite domain, which eta never leaves)
+    expansion also stops, at the start of a round or in the middle of
+    one, as soon as the set holds all of it: the eta calls left could add
+    nothing, so they are not made, and any error they would raise is not
+    raised. The cap turns combinatorial blowup into an explicit error
+    naming the iteration and the size reached; the cover stop changes
+    neither the result nor that error.
     """
     kernel = frozenset(kernel)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     d = scheme.m
+    full = len(scheme.universe) if scheme.universe is not None else None
     current = set(scheme.eta(kernel))
     if len(current) > cap:
         raise ResourceLimitError(0, len(current), cap)
     expanded = {kernel}
     for iteration in range(1, iterations + 1):
-        added: set[int] = set()
+        before = len(current)
+        if before == full:
+            break
         for combo in combinations(sorted(current), d):
             t = frozenset(combo)
             if t in expanded:
                 continue
             expanded.add(t)
-            added |= scheme.eta(t)
-        if added <= current:
+            current |= scheme.eta(t)
+            if len(current) == full:
+                break
+        if len(current) == before:
             break
-        current |= added
         if len(current) > cap:
             raise ResourceLimitError(iteration, len(current), cap)
     return frozenset(current)

@@ -28,7 +28,7 @@ from .chains import ResourceLimitError, compress_chain, trace_to_text
 from .config import ConfigError, ExperimentConfig, format_rational, load_config, parse_rational
 from .core import EnumeratedDomain
 from .evaluation import evaluate
-from .schemes import seeded_subsets, verify_soundness
+from .schemes import SchemeError, seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
 DESCEND_SUBSET_LIMIT = 20_000
@@ -339,6 +339,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except SchemeError as err:
+        print(f"property violation: {err}", file=sys.stderr)
+        return 1
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 3

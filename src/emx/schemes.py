@@ -25,10 +25,15 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True)
 class MonotoneScheme:
+    """Arity m, the compressor and reconstructor, an optional bound on
+    reconstruction size, and for a scheme on a finite domain its point
+    set, which every reconstruction must stay inside."""
+
     m: int
     compressor: Callable[[frozenset[int]], frozenset[int]]
     reconstructor: Callable[[frozenset[int]], frozenset[int]]
     budget: int | None = None
+    universe: frozenset[int] | None = None
 
     def sigma(self, subset: Iterable[int]) -> frozenset[int]:
         """Compress an (m+1)-set to the m points the compressor keeps."""
@@ -48,6 +53,9 @@ class MonotoneScheme:
         out = frozenset(self.reconstructor(t))
         if self.budget is not None and len(out) > self.budget:
             raise SchemeError(f"eta output of size {len(out)} exceeds budget {self.budget}")
+        if self.universe is not None and not out <= self.universe:
+            outside = sorted(out - self.universe)
+            raise SchemeError(f"eta output leaves the scheme's universe at {outside[:5]}")
         return out
 
 
@@ -68,7 +76,7 @@ def enumeration_scheme(tower: OrderTower) -> MonotoneScheme:
         (kept,) = t
         return tower.enumerate_below((), tower.key(0, (), kept))
 
-    return MonotoneScheme(1, compress, reconstruct)
+    return MonotoneScheme(1, compress, reconstruct, universe=tower.universe)
 
 
 def tower_scheme(tower: OrderTower) -> MonotoneScheme:
@@ -104,7 +112,7 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
         below = tower.enumerate_below(context, tower.key(0, context, survivor))
         return frozenset(t) | below
 
-    return MonotoneScheme(tower.depth + 1, compress, reconstruct)
+    return MonotoneScheme(tower.depth + 1, compress, reconstruct, universe=tower.universe)
 
 
 def identity_eta_scheme(m: int = 1) -> MonotoneScheme:

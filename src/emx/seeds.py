@@ -7,6 +7,7 @@ tower orderings. Both are pure functions of their inputs.
 """
 
 import hashlib
+from typing import Iterable
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -31,10 +32,19 @@ def split_seed(master: int, index: int) -> int:
     return splitmix64((master & _MASK64) ^ splitmix64(index & _MASK64))
 
 
-def order_hash(*parts: object) -> bytes:
-    """Stable 16-byte digest of a tuple of ints and tuples of ints."""
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        h.update(repr(part).encode("ascii"))
-        h.update(b"\x00")
-    return h.digest()
+def order_hash(seed: int, level: int, context: tuple[int, ...], ids: Iterable[int]) -> list[bytes]:
+    """Stable 16-byte sort keys for every id of one (level, context).
+
+    The key of an id is the BLAKE2b digest of repr(seed), repr(level),
+    repr(context) and repr(id), each followed by a NUL byte. The shared
+    prefix is hashed once and its state copied for each id.
+    """
+    prefix = hashlib.blake2b(digest_size=16)
+    for part in (seed, level, context):
+        prefix.update(repr(part).encode("ascii") + b"\x00")
+    keys = []
+    for pid in ids:
+        h = prefix.copy()
+        h.update(repr(pid).encode("ascii") + b"\x00")
+        keys.append(h.digest())
+    return keys

@@ -26,16 +26,19 @@ ContextChain = tuple[int, ...]
 
 @dataclass(frozen=True)
 class OrderTower:
-    """Depth, a key function and a level-0 prefix enumerator.
+    """Depth, a key function, a level-0 prefix enumerator and, for a
+    finite domain, its point set.
 
     Invariants: keys are injective per (level, context); a context chain
     of length depth - level accompanies every level; enumerate_below(c, b)
-    is exactly the finite set of points with level-0 key <= b under c.
+    is exactly the finite set of points with level-0 key <= b under c;
+    universe is None or holds every point the tower orders.
     """
 
     depth: int
     key_fn: Callable[[int, ContextChain, int], int]
     below_fn: Callable[[ContextChain, int], frozenset[int]]
+    universe: frozenset[int] | None = None
 
     def key(self, level: int, context: ContextChain, point_id: int) -> int:
         if not 0 <= level <= self.depth:
@@ -73,7 +76,7 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
 
     @lru_cache(maxsize=None)
     def ordering(level: int, context: ContextChain) -> tuple[tuple[int, ...], dict[int, int]]:
-        order = tuple(sorted(ids, key=lambda pid: (order_hash(seed, level, context, pid), pid)))
+        order = tuple(pid for _, pid in sorted(zip(order_hash(seed, level, context, ids), ids)))
         return order, {pid: pos for pos, pid in enumerate(order)}
 
     def key(level: int, context: ContextChain, point_id: int) -> int:
@@ -86,7 +89,7 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
         order = ordering(0, context)[0]
         return frozenset(order[: bound + 1])
 
-    return OrderTower(depth, key, below)
+    return OrderTower(depth, key, below, frozenset(ids))
 
 
 def enumerated_tower(domain: EnumeratedDomain) -> OrderTower:

@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's own code paths: the search oracle
 enumerates the full assignment space with no pruning or symmetry
-breaking, and the rational enumerations are generated by two unrelated
-methods (tree BFS and the floor recurrence).
+breaking, the rational enumerations are generated by two unrelated
+methods (tree BFS and the floor recurrence), and the decompression oracle
+walks every round in full with no cover stop.
 """
 
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor
+
+from emx.chains import DEFAULT_CAP, ResourceLimitError
 
 
 def first_assignment_brute_force(
@@ -57,3 +60,32 @@ def calkin_wilf_recurrence(count: int) -> list[Fraction]:
         q = out[-1]
         out.append(1 / (2 * floor(q) - q + 1))
     return out
+
+
+def decompress_full(kernel, scheme, iterations, cap=DEFAULT_CAP):
+    """Chained decompression without the cover stop: R0 = eta(kernel),
+    then each round unions eta of every not yet expanded d-subset of the
+    cumulative set, until a round adds nothing or the rounds run out;
+    raises the library's ResourceLimitError past the cap."""
+    kernel = frozenset(kernel)
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    d = scheme.m
+    current = set(scheme.eta(kernel))
+    if len(current) > cap:
+        raise ResourceLimitError(0, len(current), cap)
+    expanded = {kernel}
+    for iteration in range(1, iterations + 1):
+        added: set[int] = set()
+        for combo in combinations(sorted(current), d):
+            t = frozenset(combo)
+            if t in expanded:
+                continue
+            expanded.add(t)
+            added |= scheme.eta(t)
+        if added <= current:
+            break
+        current |= added
+        if len(current) > cap:
+            raise ResourceLimitError(iteration, len(current), cap)
+    return frozenset(current)

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emx.chains import (
+    DEFAULT_CAP,
     CompressionTrace,
     ResourceLimitError,
     compress_chain,
@@ -14,6 +16,7 @@ from emx.chains import (
 from emx.core import FiniteDomain, naturals_domain
 from emx.schemes import enumeration_scheme, tower_scheme
 from emx.towers import enumerated_tower, finite_proxy_tower
+from oracles import decompress_full
 
 
 def naturals_scheme():
@@ -101,6 +104,59 @@ class TestDecompressChain:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             decompress_chain({1}, naturals_scheme(), -1)
+
+    def test_stops_once_the_domain_is_covered(self):
+        scheme = proxy_scheme(200, 2, 0)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return scheme.reconstructor(t)
+
+        counting = dataclasses.replace(scheme, reconstructor=counted)
+        points = random.Random(0).sample(range(200), 9)
+        kernel = compress_chain(points, scheme).kernel
+        out = decompress_chain(kernel, counting, len(points) - scheme.m)
+        assert out == scheme.universe
+        assert len(calls) < 100
+
+
+def outcome(decompress, kernel, scheme, iterations, cap):
+    """The output set, or the cap error's location and message."""
+    try:
+        return decompress(kernel, scheme, iterations, cap)
+    except ResourceLimitError as err:
+        return ("cap", err.iteration, err.size, str(err))
+
+
+class TestDecompressOracle:
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_full_expansion_on_proxy_towers(self, data):
+        depth = data.draw(st.integers(0, 2), label="depth")
+        n = data.draw(st.integers(depth + 2, 40), label="n")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        size = data.draw(st.integers(depth + 1, min(n, depth + 9)), label="size")
+        points = data.draw(st.permutations(range(n)), label="points")[:size]
+        rounds = data.draw(st.integers(0, size + 1), label="rounds")
+        cap = data.draw(st.one_of(st.just(DEFAULT_CAP), st.integers(1, n)), label="cap")
+        scheme = proxy_scheme(n, depth, seed)
+        kernel = compress_chain(points, scheme).kernel
+        assert outcome(decompress_chain, kernel, scheme, rounds, cap) == outcome(
+            decompress_full, kernel, scheme, rounds, cap
+        )
+
+    @given(
+        st.sets(st.integers(0, 300), min_size=1, max_size=12),
+        st.integers(0, 13),
+        st.one_of(st.just(DEFAULT_CAP), st.integers(1, 300)),
+    )
+    def test_matches_full_expansion_on_naturals(self, points, rounds, cap):
+        scheme = naturals_scheme()
+        kernel = compress_chain(points, scheme).kernel
+        assert outcome(decompress_chain, kernel, scheme, rounds, cap) == outcome(
+            decompress_full, kernel, scheme, rounds, cap
+        )
 
 
 class TestRoundTrip:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
+import emx
 from emx.analysis import SearchProblem, counting_refutes
 from emx.cli import SEARCH_SUBSET_LIMIT, main
 
@@ -132,6 +136,28 @@ class TestEvaluate:
         assert main(["evaluate", cfg, "--out", str(a)]) == 0
         assert main(["evaluate", cfg, "--out", str(b), "--seed", "99"]) == 0
         assert (a / "evaluation.csv").read_text() != (b / "evaluation.csv").read_text()
+
+    def test_unsound_scheme_exits_one_without_traceback(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": "emx-experiment/1",
+                "domain": {"kind": "naturals"},
+                "scheme": {"kind": "identity-eta"},
+                "distribution": {"kind": "uniform-range", "lo": 1, "hi": 10},
+                "evaluate": {"m": [5], "epsilon": ["1/4"], "trials": 20, "seed": 3},
+            },
+        )
+        src = str(Path(emx.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "emx.cli", "evaluate", cfg, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("property violation: ")
+        assert run.stderr.count("\n") == 1
 
 
 class TestSearch:

@@ -150,6 +150,24 @@ class TestSchemeContract:
         with pytest.raises(SchemeError):
             wide.eta({1})
 
+    def test_eta_must_stay_inside_the_universe(self):
+        leaky = MonotoneScheme(
+            1, lambda b: frozenset([max(b)]), lambda t: t | {7}, universe=frozenset(range(5))
+        )
+        with pytest.raises(SchemeError, match="universe"):
+            leaky.eta({1})
+        inside = MonotoneScheme(
+            1, lambda b: frozenset([max(b)]), lambda t: t | {4}, universe=frozenset(range(5))
+        )
+        assert inside.eta({1}) == frozenset({1, 4})
+
+    def test_tower_schemes_take_the_universe_of_their_tower(self):
+        domain = FiniteDomain(size=6)
+        assert tower_scheme(finite_proxy_tower(domain, 1, 0)).universe == frozenset(range(6))
+        assert enumeration_scheme(finite_proxy_tower(domain, 0, 0)).universe == frozenset(range(6))
+        assert naturals_scheme().universe is None
+        assert identity_eta_scheme().universe is None
+
     def test_seeded_subsets_deterministic(self):
         a = seeded_subsets(range(20), 3, 25, seed=5)
         b = seeded_subsets(range(20), 3, 25, seed=5)

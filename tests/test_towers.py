@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,17 @@ from hypothesis import given, strategies as st
 
 from emx.calkin_wilf import calkin_wilf_domain, index_of
 from emx.core import FiniteDomain, naturals_domain
+from emx.seeds import order_hash
 from emx.towers import enumerated_tower, finite_proxy_tower
+
+
+def per_id_hash(*parts):
+    """BLAKE2b-128 of the repr of each part, each followed by a NUL byte."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(repr(part).encode("ascii"))
+        h.update(b"\x00")
+    return h.digest()
 
 
 class TestFiniteProxy:
@@ -70,6 +81,25 @@ class TestFiniteProxy:
             tower.key(3, (), 0)
         with pytest.raises(ValueError):
             tower.enumerate_below((1,), 3)
+
+    def test_universe_is_the_domain(self):
+        dom = FiniteDomain(size=7)
+        assert finite_proxy_tower(dom, 1, 3).universe == frozenset(range(7))
+        assert enumerated_tower(naturals_domain()).universe is None
+
+    def test_order_hash_matches_per_id_digests(self):
+        ids = [0, 5, 17, 123456]
+        for seed, level, context in [(0, 0, ()), (7, 1, (3,)), (2**40, 0, (9, 1))]:
+            assert order_hash(seed, level, context, ids) == [
+                per_id_hash(seed, level, context, pid) for pid in ids
+            ]
+
+    def test_orderings_sort_by_per_id_digest(self):
+        dom = FiniteDomain(size=30)
+        tower = finite_proxy_tower(dom, 1, 5)
+        for ctx in [(0,), (29,)]:
+            order = sorted(dom.ids(), key=lambda pid: (per_id_hash(5, 0, ctx, pid), pid))
+            assert [tower.key(0, ctx, pid) for pid in order] == list(range(30))
 
     def test_unknown_point_rejected(self):
         dom = FiniteDomain(size=5)
