@@ -61,21 +61,22 @@ def compress_chain(points: Iterable[int], scheme: MonotoneScheme) -> Compression
 
     Subset policy: each step feeds sigma the d+1 smallest-id live points.
     Any policy round-trips (decompression unions over all d-subsets);
-    fixing one makes traces replayable.
+    fixing one makes traces replayable. Sorting once suffices: the kept
+    points precede every point not yet fed, which enter in id order.
     """
     original = frozenset(points)
     d = scheme.m
     if len(original) < d:
         raise ValueError(f"need at least {d} distinct points, got {len(original)}")
-    live = set(original)
+    order = sorted(original)
+    kept = frozenset(order[:d])
     steps: list[tuple[frozenset[int], int]] = []
-    while len(live) > d:
-        beta = frozenset(sorted(live)[: d + 1])
+    for pid in order[d:]:
+        beta = kept | {pid}
         kept = scheme.sigma(beta)
         (ejected,) = beta - kept
         steps.append((beta, ejected))
-        live.remove(ejected)
-    return CompressionTrace(original, tuple(steps), frozenset(live))
+    return CompressionTrace(original, tuple(steps), kept)
 
 
 def decompress_chain(

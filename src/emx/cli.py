@@ -102,17 +102,26 @@ def cmd_evaluate(args) -> int:
     dist = cfg.build_distribution()
 
     spec = cfg.section("evaluate")
-    m_values = sorted(int(m) for m in _as_list(spec.get("m", [])))
+    try:
+        m_values = sorted(int(m) for m in _as_list(spec.get("m", [])))
+        trials = int(spec.get("trials", 1000))
+        seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+        confidence = float(spec.get("confidence", 0.99))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{cfg.path}: evaluate: {err}") from None
     if not m_values:
         raise ConfigError(f"{cfg.path}: evaluate.m is required")
+    if m_values[0] < 0:
+        raise ConfigError(f"{cfg.path}: evaluate.m must be >= 0, got {m_values[0]}")
+    if trials < 1:
+        raise ConfigError(f"{cfg.path}: evaluate.trials must be >= 1, got {trials}")
+    if not 0 < confidence < 1:
+        raise ConfigError(f"{cfg.path}: evaluate.confidence must be in (0, 1), got {confidence}")
     epsilons = sorted(
         parse_rational(e, "evaluate.epsilon") for e in _as_list(spec.get("epsilon", []))
     )
     if not epsilons:
         raise ConfigError(f"{cfg.path}: evaluate.epsilon is required")
-    trials = int(spec.get("trials", 1000))
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    confidence = float(spec.get("confidence", 0.99))
     per_trial = bool(spec.get("per_trial", False))
     delta = spec.get("delta")
     delta = parse_rational(delta, "evaluate.delta") if delta is not None else None

@@ -1,9 +1,9 @@
 """Domain points, exact finite-support distributions, hypotheses, sampling,
 and the max-coverage training baseline.
 
-All probability arithmetic is exact (fractions.Fraction). Floats appear
-only in Monte Carlo summaries downstream. Every value here is immutable
-after construction.
+All probability arithmetic is exact: fractions.Fraction, or integer
+weights over one common denominator. Floats appear only in Monte Carlo
+summaries downstream. Every value here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,14 @@ class FiniteSupportDistribution:
             raise ValueError(f"masses must sum to exactly 1, got {total}")
         self._masses = dict(sorted(cleaned.items()))
         self._support = tuple(self._masses)
+        # Integer form, fixed once: mass(support[i]) = weights[i] / D, and
+        # bounds[i] = weights[0] + ... + weights[i] is the sampler's CDF.
+        self._denominator = lcm(*(mass.denominator for mass in self._masses.values()))
+        self._weights = tuple(
+            mass.numerator * (self._denominator // mass.denominator)
+            for mass in self._masses.values()
+        )
+        self._bounds = tuple(accumulate(self._weights))
 
     @classmethod
     def uniform(cls, ids: Iterable[int]) -> "FiniteSupportDistribution":
@@ -148,8 +157,17 @@ class FiniteSupportDistribution:
     def support(self) -> tuple[int, ...]:
         return self._support
 
+    @property
+    def denominator(self) -> int:
+        """D, the least common denominator of the masses."""
+        return self._denominator
+
     def mass(self, point_id: int) -> Fraction:
         return self._masses.get(point_id, Fraction(0))
+
+    def captured_weight(self, members: Container[int]) -> int:
+        """Mass of the support points in members, times D: an exact integer."""
+        return sum(w for pid, w in zip(self._support, self._weights) if pid in members)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self._masses.items())
@@ -167,11 +185,7 @@ class FiniteSupportDistribution:
 def expectation(dist: FiniteSupportDistribution, hypothesis: Hypothesis) -> Fraction:
     """Mass the hypothesis captures: the exact sum of masses of covered
     support points."""
-    total = Fraction(0)
-    for point_id, mass in dist.items():
-        if point_id in hypothesis:
-            total += mass
-    return total
+    return Fraction(dist.captured_weight(hypothesis.members), dist.denominator)
 
 
 def emx_gap(dist: FiniteSupportDistribution, hypothesis: Hypothesis) -> Fraction:
@@ -209,16 +223,9 @@ def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> Sample:
     """
     if m < 0:
         raise ValueError("sample size must be >= 0")
-    denominators = [mass.denominator for _, mass in dist.items()]
-    denom = lcm(*denominators)
-    bounds: list[int] = []
-    acc = 0
-    for _, mass in dist.items():
-        acc += mass.numerator * (denom // mass.denominator)
-        bounds.append(acc)
-    support = dist.support
-    rng = random.Random(seed)
-    draws = tuple(support[bisect_right(bounds, rng.randrange(denom))] for _ in range(m))
+    support, bounds, denom = dist.support, dist._bounds, dist.denominator
+    randrange = random.Random(seed).randrange
+    draws = tuple(support[bisect_right(bounds, randrange(denom))] for _ in range(m))
     return Sample(draws, seed)
 
 

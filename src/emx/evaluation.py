@@ -2,9 +2,10 @@
 probability by seeded Monte Carlo.
 
 A trial fails when the hypothesis captures at most 1 - epsilon of the
-mass; the comparison is exact (rationals), uses <= on the boundary, and
-the best capturable mass is exactly 1 because the support itself is a
-hypothesis. Floats enter only in the confidence half-width.
+mass; the comparison is exact (integer weights over the distribution's
+common denominator), uses <= on the boundary, and the best capturable
+mass is exactly 1 because the support itself is a hypothesis. Floats
+enter only in the confidence half-width.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import DEFAULT_CAP, ResourceLimitError, compress_chain, decompress_chain
-from .core import (
+from .core import (  # noqa: F401  expectation: perfbench/tracer.py wraps it under this name
     FiniteSupportDistribution,
     Hypothesis,
     Sample,
@@ -40,6 +41,17 @@ class EmxLearner:
             raise ValueError("kernel size d must equal the scheme arity m")
 
 
+def _compress_sample(
+    learner: EmxLearner, distinct: frozenset[int]
+) -> tuple[frozenset[int], int] | None:
+    """The (kernel, rounds) the learner reconstructs a sample from, given
+    the sample's distinct points; None when there are fewer than d of them
+    and the sample itself is the hypothesis."""
+    if len(distinct) < learner.d:
+        return None
+    return compress_chain(distinct, learner.scheme).kernel, len(distinct) - learner.d
+
+
 def apply_learner(learner: EmxLearner, sample: Sample) -> Hypothesis:
     """Hypothesis for one sample; always finite.
 
@@ -48,11 +60,11 @@ def apply_learner(learner: EmxLearner, sample: Sample) -> Hypothesis:
     ResourceLimitError.
     """
     distinct = sample.distinct()
-    if len(distinct) < learner.d:
+    compressed = _compress_sample(learner, distinct)
+    if compressed is None:
         return Hypothesis(distinct)
-    trace = compress_chain(distinct, learner.scheme)
-    rounds = len(distinct) - learner.d
-    return Hypothesis(decompress_chain(trace.kernel, learner.scheme, rounds, learner.cap))
+    kernel, rounds = compressed
+    return Hypothesis(decompress_chain(kernel, learner.scheme, rounds, learner.cap))
 
 
 @dataclass(frozen=True)
@@ -117,24 +129,47 @@ def evaluate(
     checks that it captures at least the sample's own distinct mass, which
     a sound scheme guarantees because the reconstruction contains the
     sample; an unsound scheme raises SchemeError.
+
+    Masses are compared as integer weights over the common denominator.
+    A per-call memo keyed by (kernel, rounds) keeps each kernel's captured
+    weight or cap error, so no kernel is decompressed twice.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must be in (0, 1)")
     epsilon = Fraction(epsilon)
     threshold = 1 - epsilon
+    denom = dist.denominator
+    # captured <= threshold  iff  weight * threshold.den <= threshold.num * D
+    fail_limit = threshold.numerator * denom
+    memo: dict[tuple[frozenset[int], int], int | ResourceLimitError] = {}
 
     def run(index: int) -> TrialRecord:
         child = split_seed(seed, index)
-        sample = draw_sample(dist, m, child)
-        try:
-            hypothesis = apply_learner(learner, sample)
-        except ResourceLimitError as err:
-            return TrialRecord(index, child, None, False, str(err))
-        captured = expectation(dist, hypothesis)
-        floor = sum((dist.mass(pid) for pid in sample.distinct()), Fraction(0))
-        if captured < floor:
+        distinct = draw_sample(dist, m, child).distinct()
+        floor = dist.captured_weight(distinct)
+        compressed = _compress_sample(learner, distinct)
+        if compressed is None:
+            weight = floor
+        else:
+            weight = memo.get(compressed)
+            if weight is None:
+                kernel, rounds = compressed
+                try:
+                    weight = dist.captured_weight(
+                        decompress_chain(kernel, learner.scheme, rounds, learner.cap)
+                    )
+                except ResourceLimitError as err:
+                    # kept without its traceback, which holds the decompression's frames
+                    weight = err.with_traceback(None)
+                memo[compressed] = weight
+            if isinstance(weight, ResourceLimitError):
+                return TrialRecord(index, child, None, False, str(weight))
+        if weight < floor:
             raise SchemeError(f"trial {index}: hypothesis lost sample mass (scheme unsound)")
-        return TrialRecord(index, child, captured, captured <= threshold, None)
+        failed = weight * threshold.denominator <= fail_limit
+        return TrialRecord(index, child, Fraction(weight, denom), failed, None)
 
     records = [run(i) for i in range(trials)]
 

@@ -19,6 +19,11 @@ from typing import Callable, Iterable, Sequence
 from .towers import OrderTower
 
 
+# Reconstructions an enumeration scheme keeps per instance, least recently
+# used first out; on the naturals each one is a prefix 0..k.
+RECONSTRUCT_CACHE_SIZE = 1024
+
+
 class SchemeError(ValueError):
     """Wrong input size for sigma/eta, or a violated scheme contract."""
 
@@ -71,7 +76,7 @@ def enumeration_scheme(tower: OrderTower) -> MonotoneScheme:
         later = max(beta, key=lambda pid: tower.key(0, (), pid))
         return frozenset((later,))
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=RECONSTRUCT_CACHE_SIZE)
     def reconstruct(t: frozenset[int]) -> frozenset[int]:
         (kept,) = t
         return tower.enumerate_below((), tower.key(0, (), kept))

@@ -23,6 +23,10 @@ from .seeds import order_hash
 
 ContextChain = tuple[int, ...]
 
+# Orderings a finite proxy tower keeps per instance: every ordering of a
+# depth-2 tower on 60 points (1 + 60 + 60*59 = 3601) fits.
+ORDERING_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class OrderTower:
@@ -68,13 +72,14 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
 
     Each (level, context) pair gets its own ordering: ids sorted by a
     stable hash of (seed, level, context, id), ties impossible because the
-    id is part of the sort key. Orderings are cached per context.
+    id is part of the sort key. Orderings are cached per context, up to
+    ORDERING_CACHE_SIZE of them, least recently used first out.
     """
     if depth < 0:
         raise ValueError("tower depth must be >= 0")
     ids = tuple(domain.ids())
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=ORDERING_CACHE_SIZE)
     def ordering(level: int, context: ContextChain) -> tuple[tuple[int, ...], dict[int, int]]:
         order = tuple(pid for _, pid in sorted(zip(order_hash(seed, level, context, ids), ids)))
         return order, {pid: pos for pos, pid in enumerate(order)}

@@ -3,16 +3,22 @@
 These deliberately avoid the library's own code paths: the search oracle
 enumerates the full assignment space with no pruning or symmetry
 breaking, the rational enumerations are generated by two unrelated
-methods (tree BFS and the floor recurrence), and the decompression oracle
-walks every round in full with no cover stop.
+methods (tree BFS and the floor recurrence), the decompression oracle
+walks every round in full with no cover stop, the compression oracle
+re-sorts the live set on every step, and the evaluation oracle runs each
+trial on Fractions with nothing reused across trials.
 """
 
+import random
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor
+from math import floor, lcm
 
 from emx.chains import DEFAULT_CAP, ResourceLimitError
+from emx.evaluation import TrialRecord
+from emx.schemes import SchemeError
+from emx.seeds import split_seed
 
 
 def first_assignment_brute_force(
@@ -89,3 +95,67 @@ def decompress_full(kernel, scheme, iterations, cap=DEFAULT_CAP):
         if len(current) > cap:
             raise ResourceLimitError(iteration, len(current), cap)
     return frozenset(current)
+
+
+def compress_per_step_sort(points, scheme):
+    """Chained compression that sorts the live set on every step and feeds
+    sigma its d+1 smallest ids; returns (steps, kernel) with steps as
+    (input, ejected) pairs."""
+    live = set(points)
+    steps = []
+    while len(live) > scheme.m:
+        beta = frozenset(sorted(live)[: scheme.m + 1])
+        (ejected,) = beta - scheme.sigma(beta)
+        steps.append((beta, ejected))
+        live.remove(ejected)
+    return tuple(steps), frozenset(live)
+
+
+def draw_sample_reference(dist, m, seed):
+    """m draws by inverse CDF, with the common denominator D and the CDF
+    rebuilt from the Fraction masses on every call and searched linearly:
+    a draw is the first support id whose running mass * D exceeds
+    randrange(D)."""
+    masses = list(dist.items())
+    denom = lcm(*(mass.denominator for _, mass in masses))
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(m):
+        r = rng.randrange(denom)
+        running = Fraction(0)
+        for pid, mass in masses:
+            running += mass
+            if r < running * denom:
+                draws.append(pid)
+                break
+    return tuple(draws)
+
+
+def evaluate_reference(learner, dist, m, epsilon, trials, seed):
+    """The trial records of `evaluate`, one trial at a time with nothing
+    shared between trials: draw, compress with `compress_per_step_sort`,
+    decompress every kernel anew with `decompress_full`, then sum the
+    captured mass and the sample-mass floor as Fractions and compare the
+    captured mass with 1 - epsilon. Raises the library's SchemeError, with
+    its message, at the first trial that loses sample mass."""
+    threshold = 1 - Fraction(epsilon)
+    records = []
+    for index in range(trials):
+        child = split_seed(seed, index)
+        distinct = frozenset(draw_sample_reference(dist, m, child))
+        if len(distinct) < learner.d:
+            hypothesis = distinct
+        else:
+            _, kernel = compress_per_step_sort(distinct, learner.scheme)
+            rounds = len(distinct) - learner.d
+            try:
+                hypothesis = decompress_full(kernel, learner.scheme, rounds, learner.cap)
+            except ResourceLimitError as err:
+                records.append(TrialRecord(index, child, None, False, str(err)))
+                continue
+        captured = sum((mass for pid, mass in dist.items() if pid in hypothesis), Fraction(0))
+        floor_mass = sum((dist.mass(pid) for pid in distinct), Fraction(0))
+        if captured < floor_mass:
+            raise SchemeError(f"trial {index}: hypothesis lost sample mass (scheme unsound)")
+        records.append(TrialRecord(index, child, captured, captured <= threshold, None))
+    return records

@@ -16,7 +16,7 @@ from emx.chains import (
 from emx.core import FiniteDomain, naturals_domain
 from emx.schemes import enumeration_scheme, tower_scheme
 from emx.towers import enumerated_tower, finite_proxy_tower
-from oracles import decompress_full
+from oracles import compress_per_step_sort, decompress_full
 
 
 def naturals_scheme():
@@ -63,6 +63,22 @@ class TestCompressChain:
         scheme = proxy_scheme(40, 1, 3)
         points = frozenset(random.Random(9).sample(range(40), 7))
         assert compress_chain(points, scheme) == compress_chain(points, scheme)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_matches_per_step_sort(self, data):
+        depth = data.draw(st.integers(0, 2), label="depth")
+        n = data.draw(st.integers(depth + 2, 40), label="n")
+        scheme = proxy_scheme(n, depth, data.draw(st.integers(0, 2**32), label="seed"))
+        size = data.draw(st.integers(depth + 1, n), label="size")
+        points = data.draw(st.permutations(range(n)), label="points")[:size]
+        trace = compress_chain(points, scheme)
+        assert (trace.steps, trace.kernel) == compress_per_step_sort(points, scheme)
+
+    @given(st.sets(st.integers(0, 10**6), min_size=1, max_size=30))
+    def test_matches_per_step_sort_on_naturals(self, points):
+        trace = compress_chain(points, naturals_scheme())
+        assert (trace.steps, trace.kernel) == compress_per_step_sort(points, naturals_scheme())
 
     def test_trace_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ import sys
 from math import comb
 from pathlib import Path
 
+import pytest
+
 import emx
+import emx.cli
 from emx.analysis import SearchProblem, counting_refutes
 from emx.cli import SEARCH_SUBSET_LIMIT, main
 
@@ -28,7 +31,7 @@ def cw_verify_config(tmp_path, count=30, kind="enumeration"):
     )
 
 
-def tank_eval_config(tmp_path, trials=200, per_trial=False):
+def tank_eval_config(tmp_path, trials=200, per_trial=False, **evaluate):
     return write_config(
         tmp_path,
         {
@@ -42,9 +45,21 @@ def tank_eval_config(tmp_path, trials=200, per_trial=False):
                 "trials": trials,
                 "seed": 42,
                 "per_trial": per_trial,
+                **evaluate,
             },
         },
         "tank.json",
+    )
+
+
+def run_cli_process(argv):
+    """Run `python -m emx.cli` in a fresh interpreter on this checkout's
+    package, so an uncaught exception shows as a traceback on stderr."""
+    src = str(Path(emx.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "emx.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -148,16 +163,39 @@ class TestEvaluate:
                 "evaluate": {"m": [5], "epsilon": ["1/4"], "trials": 20, "seed": 3},
             },
         )
-        src = str(Path(emx.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-m", "emx.cli", "evaluate", cfg, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        run = run_cli_process(["evaluate", cfg, "--out", str(tmp_path / "out")])
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
         assert run.stderr.startswith("property violation: ")
         assert run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"trials": 0}, "evaluate.trials must be >= 1, got 0"),
+            ({"confidence": 1.0}, "evaluate.confidence must be in (0, 1), got 1.0"),
+            ({"confidence": 0}, "evaluate.confidence must be in (0, 1), got 0.0"),
+            ({"m": [4, -1]}, "evaluate.m must be >= 0, got -1"),
+            ({"trials": "many"}, "evaluate: invalid literal for int()"),
+        ],
+    )
+    def test_bad_settings_exit_two_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                    setting, message):
+        cfg = tank_eval_config(tmp_path, **setting)
+        out = str(tmp_path / "out")
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("evaluate ran on an invalid config")
+
+        monkeypatch.setattr(emx.cli, "evaluate", no_trials)
+        assert main(["evaluate", cfg, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        run = run_cli_process(["evaluate", cfg, "--out", out])
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("config error: ")
+        assert run.stderr.count("\n") == 1
+        assert not os.path.exists(out)
 
 
 class TestSearch:

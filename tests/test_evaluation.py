@@ -2,13 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import emx.evaluation
 from emx.calkin_wilf import calkin_wilf_domain
-from emx.chains import ResourceLimitError
+from emx.chains import DEFAULT_CAP, ResourceLimitError
 from emx.core import FiniteDomain, FiniteSupportDistribution, Sample, draw_sample, naturals_domain
 from emx.evaluation import EmxLearner, apply_learner, evaluate, normal_quantile
 from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
+from emx.seeds import split_seed
 from emx.towers import enumerated_tower, finite_proxy_tower
+from oracles import draw_sample_reference, evaluate_reference
 
 
 def tank_learner():
@@ -138,6 +142,124 @@ class TestEvaluate:
         dist = FiniteSupportDistribution.uniform([1, 2])
         with pytest.raises(ValueError):
             evaluate(tank_learner(), dist, 2, Fraction(1, 2), 0, seed=0)
+
+    @pytest.mark.parametrize("confidence", [1.0, 0.0, -0.5, 1.5, float("nan")])
+    def test_confidence_is_checked_before_any_trial(self, monkeypatch, confidence):
+        def no_draws(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(emx.evaluation, "draw_sample", no_draws)
+        dist = FiniteSupportDistribution.uniform([1, 2])
+        with pytest.raises(ValueError, match="confidence must be in"):
+            evaluate(tank_learner(), dist, 2, Fraction(1, 2), 10, seed=0, confidence=confidence)
+
+    def test_each_kernel_is_decompressed_once_per_call(self, monkeypatch):
+        calls = []
+        decompress = emx.evaluation.decompress_chain
+
+        def counting(kernel, scheme, rounds, cap):
+            calls.append((kernel, rounds))
+            return decompress(kernel, scheme, rounds, cap)
+
+        monkeypatch.setattr(emx.evaluation, "decompress_chain", counting)
+        dist = FiniteSupportDistribution.uniform(range(1, 21))
+        report = evaluate(tank_learner(), dist, 10, Fraction(1, 4), 500, seed=3)
+        assert report.completed == 500
+        # kernels are single points of 1..20, rounds are 0..9
+        assert len(calls) == len(set(calls)) <= 20 * 10
+        evaluate(tank_learner(), dist, 10, Fraction(1, 4), 500, seed=3)
+        assert len(calls) == 2 * len(set(calls))  # the memo does not outlive its call
+
+
+# Primes from 3 up: 1/3 + 1/5 + 1/7 + 1/11 + 1/13 < 1, so a remainder is left.
+COPRIME = (3, 5, 7, 11, 13)
+
+
+@st.composite
+def distributions(draw, ids):
+    """Uniform, or masses 1/p over distinct primes p with the last point
+    taking the rest, so the denominators are pairwise coprime."""
+    support = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(COPRIME) + 1,
+                            unique=True))
+    if len(support) == 1 or draw(st.booleans()):
+        return FiniteSupportDistribution.uniform(support)
+    primes = draw(st.permutations(COPRIME))
+    masses = {pid: Fraction(1, p) for pid, p in zip(support[:-1], primes)}
+    masses[support[-1]] = 1 - sum(masses.values())
+    return FiniteSupportDistribution(masses)
+
+
+@st.composite
+def evaluation_cases(draw):
+    kind = draw(st.sampled_from(["naturals", "tower", "identity-eta"]))
+    cap = draw(st.one_of(st.just(DEFAULT_CAP), st.integers(1, 30)))
+    if kind == "tower":
+        n = draw(st.integers(4, 30))
+        tower = finite_proxy_tower(FiniteDomain(size=n), 1, draw(st.integers(0, 2**32)))
+        learner, ids = EmxLearner(tower_scheme(tower), d=2, cap=cap), range(n)
+    elif kind == "naturals":
+        learner, ids = EmxLearner(tank_learner().scheme, d=1, cap=cap), range(40)
+    else:
+        learner, ids = EmxLearner(identity_eta_scheme(1), d=1, cap=cap), range(40)
+    dist = draw(distributions(ids))
+    # epsilon at a boundary: 1 - epsilon is the mass of a prefix of the
+    # support, which is what the enumeration learner captures
+    prefix = draw(st.integers(0, len(dist.support)))
+    boundary = 1 - sum((dist.mass(pid) for pid in dist.support[:prefix]), Fraction(0))
+    epsilon = draw(st.sampled_from([boundary, Fraction(0), Fraction(1, 4), Fraction(1)]))
+    m = draw(st.integers(0, 12))
+    trials = draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return learner, dist, m, epsilon, trials, seed
+
+
+class TestEvaluateOracle:
+    @given(evaluation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_trial_fraction_loop(self, case):
+        try:
+            want = evaluate_reference(*case)
+        except SchemeError as err:
+            with pytest.raises(SchemeError) as got:
+                evaluate(*case, keep_records=True)
+            assert str(got.value) == str(err)
+            return
+        report = evaluate(*case, keep_records=True)
+        assert report.records == tuple(want)
+        errors = sum(1 for r in want if r.error is not None)
+        failures = sum(1 for r in want if r.failed)
+        completed = len(want) - errors
+        assert (report.completed, report.failures, report.errors) == (completed, failures, errors)
+        assert report.failure_rate == (Fraction(failures, completed) if completed else 0)
+
+    @given(distributions(range(64)), st.integers(0, 30), st.integers(0, 2**64 - 1))
+    def test_sampler_matches_rebuilt_cdf(self, dist, m, seed):
+        assert draw_sample(dist, m, seed).points == draw_sample_reference(dist, m, seed)
+
+    def test_boundary_trials_fail(self):
+        # the mass up to point 5 is 8/15, so epsilon = 7/15 puts trials whose
+        # largest draw is 5 exactly on the boundary, where they fail
+        dist = FiniteSupportDistribution({2: "1/3", 5: "1/5", 11: "1/7", 17: "34/105"})
+        args = (tank_learner(), dist, 3, Fraction(7, 15), 400, 2019)
+        report = evaluate(*args, keep_records=True)
+        on_boundary = [r for r in report.records if r.captured == Fraction(8, 15)]
+        assert on_boundary and all(r.failed for r in on_boundary)
+        assert report.records == tuple(evaluate_reference(*args))
+
+    def test_unsound_scheme_raises_at_the_same_trial(self):
+        learner = EmxLearner(identity_eta_scheme(1), d=1)
+        dist = FiniteSupportDistribution({0: "1/2", 7: "1/2"})
+        # a master seed whose trial 0 draws one distinct point, which
+        # identity eta keeps, so the loss shows at a later trial
+        seed = next(
+            s for s in range(100) if len(draw_sample(dist, 2, split_seed(s, 0)).distinct()) == 1
+        )
+        with pytest.raises(SchemeError) as want:
+            evaluate_reference(learner, dist, 2, Fraction(1, 4), 50, seed)
+        with pytest.raises(SchemeError) as got:
+            evaluate(learner, dist, 2, Fraction(1, 4), 50, seed)
+        assert str(got.value) == str(want.value)
+        assert not str(got.value).startswith("trial 0:")
 
 
 def test_normal_quantile_known_values():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from emx.core import FiniteDomain, naturals_domain
 from emx.calkin_wilf import calkin_wilf_domain
 from emx.schemes import (
+    RECONSTRUCT_CACHE_SIZE,
     MonotoneScheme,
     SchemeError,
     enumeration_scheme,
@@ -54,6 +55,22 @@ class TestEnumerationScheme:
         scheme = naturals_scheme()
         for lo, hi in [(0, 1), (3, 17), (5, 5)]:
             assert scheme.eta({lo}) <= scheme.eta({hi})
+
+    def test_reconstruction_cache_is_bounded(self):
+        calls = []
+
+        def below(context, bound):
+            calls.append(bound)
+            return frozenset({bound})
+
+        scheme = enumeration_scheme(OrderTower(0, lambda level, context, pid: pid, below))
+        for _ in range(2):
+            for k in range(RECONSTRUCT_CACHE_SIZE):
+                scheme.eta({k})
+        assert len(calls) == RECONSTRUCT_CACHE_SIZE  # the second pass hit every entry
+        scheme.eta({RECONSTRUCT_CACHE_SIZE})
+        assert scheme.eta({0}) == frozenset({0})
+        assert len(calls) == RECONSTRUCT_CACHE_SIZE + 2  # {0} was evicted and rebuilt
 
 
 def stub_tower(depth, level_keys):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from emx.calkin_wilf import calkin_wilf_domain, index_of
 from emx.core import FiniteDomain, naturals_domain
 from emx.seeds import order_hash
-from emx.towers import enumerated_tower, finite_proxy_tower
+import emx.towers
+from emx.towers import ORDERING_CACHE_SIZE, enumerated_tower, finite_proxy_tower
 
 
 def per_id_hash(*parts):
@@ -100,6 +101,33 @@ class TestFiniteProxy:
         for ctx in [(0,), (29,)]:
             order = sorted(dom.ids(), key=lambda pid: (per_id_hash(5, 0, ctx, pid), pid))
             assert [tower.key(0, ctx, pid) for pid in order] == list(range(30))
+
+    def test_ordering_cache_holds_a_depth2_tower_on_60_points(self, monkeypatch):
+        hashed = []
+
+        def counting_order_hash(*args):
+            hashed.append(args[:3])
+            return order_hash(*args)
+
+        monkeypatch.setattr(emx.towers, "order_hash", counting_order_hash)
+
+        def touch_every_ordering(tower, n):
+            contexts = [(2, ())] + [(1, (a,)) for a in range(n)]
+            contexts += [(0, (a, b)) for a in range(n) for b in range(n) if a != b]
+            return [tower.key(level, ctx, 0) for level, ctx in contexts]
+
+        tower = finite_proxy_tower(FiniteDomain(size=60), 2, 8)
+        first = touch_every_ordering(tower, 60)
+        assert len(hashed) == 1 + 60 + 60 * 59 <= ORDERING_CACHE_SIZE
+        assert touch_every_ordering(tower, 60) == first
+        assert len(hashed) == 1 + 60 + 60 * 59  # nothing evicted
+
+        hashed.clear()
+        tower = finite_proxy_tower(FiniteDomain(size=65), 2, 8)
+        first = touch_every_ordering(tower, 65)
+        assert len(hashed) == 1 + 65 + 65 * 64 > ORDERING_CACHE_SIZE
+        assert touch_every_ordering(tower, 65) == first
+        assert len(hashed) > 1 + 65 + 65 * 64  # evicted orderings were rebuilt alike
 
     def test_unknown_point_rejected(self):
         dom = FiniteDomain(size=5)
