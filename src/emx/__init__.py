@@ -2,9 +2,9 @@
 
 The library builds compress-then-reconstruct learners from deterministic
 order towers, chains them to arbitrary sample sizes, measures their
-(epsilon, delta) behavior by exact-arithmetic Monte Carlo, reduces scheme
-arity on sub-domains, and decides existence of bounded schemes on small
-finite domains.
+failure rate at each epsilon by exact-arithmetic Monte Carlo, reduces
+scheme arity on sub-domains, and decides existence of bounded schemes on
+small finite domains.
 """
 
 from .analysis import (

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .schemes import MonotoneScheme, SchemeError, verify_soundness
-
-ZMode = Literal["direct", "sigma", "superset"]
-
-Z_MODES = ("direct", "sigma", "superset")
 
 
 class DeskScaleError(RuntimeError):
@@ -42,30 +38,15 @@ class DescentError(RuntimeError):
         self.subset = subset
 
 
-def reconstruction_image(
-    scheme: MonotoneScheme,
-    sub_domain: Iterable[int],
-    z_mode: ZMode = "superset",
-) -> frozenset[int]:
-    """Everything eta can produce from the sub-domain.
-
-    direct: eta over all m-subsets of the sub-domain.
-    sigma: eta over the compressor's images of all (m+1)-subsets.
-    superset (default): the union of both readings. For selection schemes
-    every sigma image of a sub-domain subset is itself an m-subset of the
-    sub-domain, so sigma adds nothing beyond direct; only direct (and
-    hence superset) guarantees the anchor is never compressed out.
+def reconstruction_image(scheme: MonotoneScheme, sub_domain: Iterable[int]) -> frozenset[int]:
+    """Everything eta can produce from the sub-domain: the union of eta
+    over all its m-subsets. Reconstructing the compressor's images of the
+    (m+1)-subsets adds nothing, because sigma keeps an m-subset of its
+    input, so each such image is already one of those m-subsets.
     """
-    if z_mode not in Z_MODES:
-        raise ValueError(f"z_mode must be one of {Z_MODES}, got {z_mode!r}")
-    pool = sorted(sub_domain)
     image: set[int] = set()
-    if z_mode in ("direct", "superset"):
-        for t in combinations(pool, scheme.m):
-            image |= scheme.eta(t)
-    if z_mode in ("sigma", "superset"):
-        for beta in combinations(pool, scheme.m + 1):
-            image |= scheme.eta(scheme.sigma(beta))
+    for t in combinations(sorted(sub_domain), scheme.m):
+        image |= scheme.eta(t)
     return frozenset(image)
 
 
@@ -83,7 +64,6 @@ def descend(
     scheme: MonotoneScheme,
     domain_ids: Iterable[int],
     sub_domain: Iterable[int],
-    z_mode: ZMode = "superset",
 ) -> ReductionWitness:
     """Build the reduced scheme on the sub-domain.
 
@@ -105,7 +85,7 @@ def descend(
     if len(y) < scheme.m + 1:
         raise ValueError(f"sub-domain must hold at least {scheme.m + 1} points")
 
-    z = reconstruction_image(scheme, y, z_mode)
+    z = reconstruction_image(scheme, y)
     outside = universe - z
     if not outside:
         raise DeskScaleError(len(z))

@@ -123,8 +123,6 @@ def cmd_evaluate(args) -> int:
     if not epsilons:
         raise ConfigError(f"{cfg.path}: evaluate.epsilon is required")
     per_trial = bool(spec.get("per_trial", False))
-    delta = spec.get("delta")
-    delta = parse_rational(delta, "evaluate.delta") if delta is not None else None
 
     reports = [
         evaluate(
@@ -135,7 +133,6 @@ def cmd_evaluate(args) -> int:
             trials,
             seed,
             confidence=confidence,
-            delta=delta,
             keep_records=per_trial,
         )
         for m in m_values
@@ -193,19 +190,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        problem = SearchProblem(args.n, args.m, args.budget)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    problem = SearchProblem(args.n, args.m, args.budget)
     witness_size = comb(args.n, args.m + 1)
     if witness_size > SEARCH_SUBSET_LIMIT and not counting_refutes(problem):
-        print(
-            f"error: a witness would tabulate {witness_size} subsets, above the "
-            f"{SEARCH_SUBSET_LIMIT} guard",
-            file=sys.stderr,
+        raise ValueError(
+            f"a witness would tabulate {witness_size} subsets, above the "
+            f"{SEARCH_SUBSET_LIMIT} guard"
         )
-        return 2
     result = search_schemes(problem)
     print(f"{result.verdict} ({result.reason}; {result.nodes} nodes)")
     if result.verdict == "UNSAT":
@@ -237,29 +228,15 @@ def cmd_descend(args) -> int:
         sub = list(range(int(spec["y_size"])))
     else:
         raise ConfigError(f"{cfg.path}: descend needs y or y_size")
-    z_mode = spec.get("z_mode", "superset")
 
     work = comb(len(sub), scheme.m) + comb(len(sub), scheme.m + 1)
     if work > DESCEND_SUBSET_LIMIT:
-        print(
-            f"error: descending over {len(sub)} points needs {work} subset "
-            f"evaluations, above the {DESCEND_SUBSET_LIMIT} guard",
-            file=sys.stderr,
+        raise ValueError(
+            f"descending over {len(sub)} points needs {work} subset "
+            f"evaluations, above the {DESCEND_SUBSET_LIMIT} guard"
         )
-        return 2
 
-    try:
-        witness = descend(scheme, universe, sub, z_mode)
-    except DeskScaleError as err:
-        print(f"desk-scale failure: {err}", file=sys.stderr)
-        return 1
-    except DescentError as err:
-        print(f"descent verification failure: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
+    witness = descend(scheme, universe, sub)
     reduced = witness.reduced
     lines = [
         "# emx-descent-witness 1",
@@ -289,11 +266,7 @@ def cmd_compress(args) -> int:
     points = spec.get("points")
     if not points:
         raise ConfigError(f"{cfg.path}: compress.points is required")
-    try:
-        trace = compress_chain([int(p) for p in points], scheme)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    trace = compress_chain([int(p) for p in points], scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "trace.txt"), trace_to_text(trace))
     print(f"compressed {len(trace.original)} points to kernel {sorted(trace.kernel)}")
@@ -340,20 +313,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# How a run that raises ends: exception type, exit code, stderr label. The
+# first match wins, so ConfigError and SchemeError precede ValueError, their
+# base. Anything else (AssertionError, TypeError, ...) is a bug and propagates.
+EXIT_CODES: tuple[tuple[type[Exception], int, str], ...] = (
+    (ConfigError, 2, "config error"),
+    (SchemeError, 1, "property violation"),
+    (DeskScaleError, 1, "desk-scale failure"),
+    (DescentError, 1, "descent verification failure"),
+    (ResourceLimitError, 3, "resource limit"),
+    (ValueError, 2, "error"),
+    (LookupError, 2, "error"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except SchemeError as err:
-        print(f"property violation: {err}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as err:
-        print(f"resource limit: {err}", file=sys.stderr)
-        return 3
+    except tuple(kind for kind, _, _ in EXIT_CODES) as err:
+        code, label = next((c, name) for kind, c, name in EXIT_CODES if isinstance(err, kind))
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ from .towers import OrderTower, enumerated_tower, finite_proxy_tower
 
 SCHEMA = "emx-experiment/1"
 
+# Keys that earlier versions read but that never changed a result; a config
+# that still sets one is rejected rather than silently ignored.
+REMOVED_KEYS = (("evaluate", "delta"), ("descend", "z_mode"))
+
 
 class ConfigError(ValueError):
     """Malformed or incomplete experiment configuration."""
@@ -148,4 +152,7 @@ def load_config(path: str) -> ExperimentConfig:
     schema = raw.get("schema")
     if schema != SCHEMA:
         raise ConfigError(f"{path}: schema must be {SCHEMA!r}, got {schema!r}")
+    for section, key in REMOVED_KEYS:
+        if isinstance(raw.get(section), dict) and key in raw[section]:
+            raise ConfigError(f"{path}: {section}.{key} was removed and is no longer accepted")
     return ExperimentConfig(raw, path)

@@ -57,22 +57,17 @@ class FiniteDomain:
 class EnumeratedDomain:
     """A countable universe enumerated by index; point ids equal indices,
     so point(i) and index(p) are mutually inverse over registered points.
-    Points materialize lazily and are cached."""
+    Points are built on demand."""
 
     size = None
 
     def __init__(self, enumerator: Callable[[int], object]):
         self._enumerator = enumerator
-        self._cache: dict[int, Point] = {}
 
     def point(self, index: int) -> Point:
         if index < 0:
             raise IndexError("enumeration index must be >= 0")
-        got = self._cache.get(index)
-        if got is None:
-            got = Point(index, self._enumerator(index))
-            self._cache[index] = got
-        return got
+        return Point(index, self._enumerator(index))
 
     def index(self, point: Point) -> int:
         return point.id

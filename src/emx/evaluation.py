@@ -91,7 +91,6 @@ class EvalReport:
     ci_halfwidth: float
     confidence: float
     master_seed: int
-    delta: Fraction | None = None
     records: tuple[TrialRecord, ...] | None = None
 
 
@@ -117,7 +116,6 @@ def evaluate(
     trials: int,
     seed: int,
     confidence: float = 0.99,
-    delta: Fraction | int | str | None = None,
     keep_records: bool = False,
 ) -> EvalReport:
     """Run independent sample-learn-measure rounds.
@@ -193,6 +191,5 @@ def evaluate(
         ci_halfwidth=halfwidth,
         confidence=confidence,
         master_seed=seed,
-        delta=Fraction(delta) if delta is not None else None,
         records=tuple(records) if keep_records else None,
     )

@@ -58,17 +58,21 @@ class TestReconstructionImage:
         z = reconstruction_image(naturals_scheme(), range(6))
         assert z == frozenset(range(6))
 
-    def test_sigma_reading_is_a_subset_for_selection_schemes(self):
-        scheme = proxy_scheme()
-        direct = reconstruction_image(scheme, range(8), "direct")
-        sigma = reconstruction_image(scheme, range(8), "sigma")
-        superset = reconstruction_image(scheme, range(8), "superset")
-        assert sigma <= direct
-        assert superset == direct | sigma == direct
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruction_image(naturals_scheme(), range(4), "both")
+    def test_image_is_eta_of_m_subsets_and_of_sigma_images(self):
+        cases = [
+            (proxy_scheme(), range(8)),
+            (proxy_scheme(), {3, 11, 17, 30, 42, 59}),
+            (naturals_scheme(), range(6)),
+            (naturals_scheme(), {2, 7, 8, 20}),
+        ]
+        for scheme, sub_domain in cases:
+            pool = sorted(sub_domain)
+            expected: set[int] = set()
+            for t in combinations(pool, scheme.m):
+                expected |= scheme.eta(t)
+            for beta in combinations(pool, scheme.m + 1):
+                expected |= scheme.eta(scheme.sigma(beta))
+            assert reconstruction_image(scheme, sub_domain) == expected
 
 
 class TestDescend:

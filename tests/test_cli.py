@@ -335,6 +335,102 @@ class TestCompress:
         assert main(["compress", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+NATURALS = {"domain": {"kind": "naturals"}, "scheme": {"kind": "enumeration"}}
+TEN_POINT_TOWER = {
+    "domain": {"kind": "finite", "size": 10},
+    "tower": {"depth": 1, "seed": 1},
+    "scheme": {"kind": "tower"},
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, sections",
+        [
+            pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "scheme": {"kind": "enumeration"}, "verify": {}},
+                id="enumeration-scheme-on-depth-1-tower",
+            ),
+            pytest.param("verify", {**NATURALS, "verify": {"count": "abc"}}, id="verify-count-abc"),
+            pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": 0}, "verify": {}},
+                id="domain-size-0",
+            ),
+            pytest.param(
+                "compress", {**TEN_POINT_TOWER, "compress": {"points": [1, 2, 100]}},
+                id="point-outside-finite-domain",
+            ),
+            pytest.param(
+                "compress", {**NATURALS, "compress": {"points": [1, -4, 3]}},
+                id="negative-point-on-naturals",
+            ),
+            pytest.param(
+                "descend", {**NATURALS, "descend": {"x_size": 50, "y": [1, 2, "q"]}},
+                id="descend-y-not-a-number",
+            ),
+            pytest.param(
+                "evaluate",
+                {
+                    **NATURALS,
+                    "distribution": {"kind": "explicit", "masses": {"x": "1/2", "1": "1/2"}},
+                    "evaluate": {"m": [3], "epsilon": ["1/4"], "trials": 5},
+                },
+                id="mass-key-x",
+            ),
+        ],
+    )
+    def test_bad_input_exits_two_without_traceback(self, tmp_path, capsys, command, sections):
+        cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
+        out = str(tmp_path / "out")
+        assert main([command, cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        run = run_cli_process([command, cfg, "--out", out])
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, sections, message",
+        [
+            pytest.param(
+                "evaluate",
+                {
+                    **NATURALS,
+                    "distribution": {"kind": "uniform-range", "lo": 1, "hi": 20},
+                    "evaluate": {"m": [3], "epsilon": ["1/4"], "trials": 5, "delta": "1/10"},
+                },
+                "evaluate.delta",
+                id="removed-evaluate-delta",
+            ),
+            pytest.param(
+                "descend",
+                {**NATURALS, "descend": {"x_size": 50, "y_size": 4, "z_mode": "direct"}},
+                "descend.z_mode",
+                id="removed-descend-z-mode",
+            ),
+        ],
+    )
+    def test_removed_keys_are_rejected(self, tmp_path, capsys, command, sections, message):
+        cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
+        out = tmp_path / "out"
+        assert main([command, cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unexpected_exceptions_propagate(self, monkeypatch):
+        def broken(args):
+            raise AssertionError("a bug, not bad input")
+
+        monkeypatch.setattr(emx.cli, "search_schemes", broken)
+        with pytest.raises(AssertionError):
+            main(["search", "3", "0", "3"])
+
+
 def read_all_outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 

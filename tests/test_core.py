@@ -57,7 +57,7 @@ class TestPointsAndDomains:
         p = dom.point(17)
         assert p.payload == 17
         assert dom.index(p) == 17
-        assert dom.point(17) is p
+        assert dom.point(17) == p
 
 
 class TestDistribution:
