@@ -40,12 +40,11 @@ from .classic import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_rational
 from .core import (
+    CountableDomain,
     Domain,
-    EnumeratedDomain,
     FiniteDomain,
     FiniteSupportDistribution,
     Hypothesis,
-    Point,
     Sample,
     draw_sample,
     emx_gap,
@@ -71,12 +70,12 @@ __all__ = [
     "CompressionTrace",
     "ConfigError",
     "ContextChain",
+    "CountableDomain",
     "DEFAULT_CAP",
     "DescentError",
     "DeskScaleError",
     "Domain",
     "EmxLearner",
-    "EnumeratedDomain",
     "EvalReport",
     "ExperimentConfig",
     "FiniteDomain",
@@ -85,7 +84,6 @@ __all__ = [
     "MonotoneScheme",
     "OrderTower",
     "PlanePoint",
-    "Point",
     "Rectangle",
     "ReductionWitness",
     "ResourceLimitError",

@@ -7,7 +7,7 @@ rational appears exactly once, in lowest terms.
 
 from fractions import Fraction
 
-from .core import EnumeratedDomain
+from .core import CountableDomain, naturals_domain
 
 
 def fraction_at(index: int) -> Fraction:
@@ -50,6 +50,7 @@ def first(count: int) -> list[Fraction]:
     return [fraction_at(i) for i in range(count)]
 
 
-def calkin_wilf_domain() -> EnumeratedDomain:
-    """Countable domain of positive rationals; point ids are tree positions."""
-    return EnumeratedDomain(fraction_at)
+def calkin_wilf_domain() -> CountableDomain:
+    """The countable domain of ids, each read as the positive rational
+    fraction_at(id); the same domain as the naturals."""
+    return naturals_domain()

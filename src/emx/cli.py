@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .chains import ResourceLimitError, compress_chain, trace_to_text
 from .config import ConfigError, ExperimentConfig, format_rational, load_config, parse_rational
-from .core import EnumeratedDomain
 from .evaluation import evaluate
 from .schemes import SchemeError, seeded_subsets, verify_soundness
 
@@ -47,9 +46,8 @@ def _csv_writer(handle):
 def _verify_subsets(cfg: ExperimentConfig, domain, arity: int) -> list[frozenset[int]]:
     spec = cfg.section("verify")
     mode = spec.get("mode", "exhaustive")
-    finite_size = getattr(domain, "size", None)
     if mode == "exhaustive":
-        count = spec.get("count", finite_size)
+        count = spec.get("count", domain.size)
         if count is None:
             raise ConfigError(f"{cfg.path}: verify.count is required for countable domains")
         count = int(count)
@@ -60,7 +58,7 @@ def _verify_subsets(cfg: ExperimentConfig, domain, arity: int) -> list[frozenset
             )
         return [frozenset(c) for c in combinations(range(count), arity + 1)]
     if mode == "random":
-        pool = spec.get("pool", finite_size)
+        pool = spec.get("pool", domain.size)
         if pool is None:
             raise ConfigError(f"{cfg.path}: verify.pool is required for countable domains")
         samples = int(spec.get("samples", 100))
@@ -214,7 +212,7 @@ def cmd_descend(args) -> int:
     scheme = cfg.build_scheme(tower)
 
     spec = cfg.section("descend")
-    if isinstance(domain, EnumeratedDomain):
+    if domain.size is None:
         x_size = spec.get("x_size")
         if x_size is None:
             raise ConfigError(f"{cfg.path}: descend.x_size is required for countable domains")
@@ -266,6 +264,8 @@ def cmd_compress(args) -> int:
     points = spec.get("points")
     if not points:
         raise ConfigError(f"{cfg.path}: compress.points is required")
+    if not isinstance(points, list):
+        raise ConfigError(f"{cfg.path}: compress.points must be a list of point ids")
     trace = compress_chain([int(p) for p in points], scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "trace.txt"), trace_to_text(trace))
@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # How a run that raises ends: exception type, exit code, stderr label. The
 # first match wins, so ConfigError and SchemeError precede ValueError, their
-# base. Anything else (AssertionError, TypeError, ...) is a bug and propagates.
+# base. Anything else (AssertionError, TypeError, KeyError, ...) is a bug and
+# propagates.
 EXIT_CODES: tuple[tuple[type[Exception], int, str], ...] = (
     (ConfigError, 2, "config error"),
     (SchemeError, 1, "property violation"),
@@ -323,7 +324,6 @@ EXIT_CODES: tuple[tuple[type[Exception], int, str], ...] = (
     (DescentError, 1, "descent verification failure"),
     (ResourceLimitError, 3, "resource limit"),
     (ValueError, 2, "error"),
-    (LookupError, 2, "error"),
 )
 
 

@@ -12,15 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .calkin_wilf import calkin_wilf_domain
 from .chains import DEFAULT_CAP
-from .core import (
-    Domain,
-    EnumeratedDomain,
-    FiniteDomain,
-    FiniteSupportDistribution,
-    naturals_domain,
-)
+from .core import Domain, FiniteDomain, FiniteSupportDistribution, naturals_domain
 from .evaluation import EmxLearner
 from .schemes import MonotoneScheme, enumeration_scheme, identity_eta_scheme, tower_scheme
 from .towers import OrderTower, enumerated_tower, finite_proxy_tower
@@ -80,17 +73,15 @@ class ExperimentConfig:
 
     def build_domain(self) -> Domain:
         kind = self.field("domain", "kind", required=True)
-        if kind == "naturals":
+        # calkin-wilf names the same ids, read as rationals by fraction_at
+        if kind in ("naturals", "calkin-wilf"):
             return naturals_domain()
-        if kind == "calkin-wilf":
-            return calkin_wilf_domain()
         if kind == "finite":
-            size = self.field("domain", "size", required=True)
-            return FiniteDomain(size=int(size))
+            return FiniteDomain(size=self.field("domain", "size", required=True))
         raise ConfigError(f"{self.path}: unknown domain kind {kind!r}")
 
     def build_tower(self, domain: Domain) -> OrderTower:
-        if isinstance(domain, EnumeratedDomain):
+        if domain.size is None:
             return enumerated_tower(domain)
         spec = self.section("tower")
         depth = spec.get("depth")
@@ -106,8 +97,7 @@ class ExperimentConfig:
         if kind == "tower":
             return tower_scheme(tower)
         if kind == "identity-eta":
-            arity = int(self.field("scheme", "m", default=1))
-            return identity_eta_scheme(arity)
+            return identity_eta_scheme(self.field("scheme", "m", default=1))
         raise ConfigError(f"{self.path}: unknown scheme kind {kind!r}")
 
     def build_distribution(self) -> FiniteSupportDistribution:
@@ -120,6 +110,8 @@ class ExperimentConfig:
             return FiniteSupportDistribution.uniform(range(lo, hi + 1))
         if kind == "explicit":
             raw = self.field("distribution", "masses", required=True)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{self.path}: distribution.masses must map point ids to masses")
             masses = {
                 int(pid): parse_rational(mass, f"distribution.masses[{pid}]")
                 for pid, mass in raw.items()

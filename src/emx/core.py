@@ -1,5 +1,5 @@
-"""Domain points, exact finite-support distributions, hypotheses, sampling,
-and the max-coverage training baseline.
+"""Domains of point ids, exact finite-support distributions, hypotheses,
+sampling, and the max-coverage training baseline.
 
 All probability arithmetic is exact: fractions.Fraction, or integer
 weights over one common denominator. Floats appear only in Monte Carlo
@@ -10,75 +10,42 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
-class Point:
-    """A domain element. Identity, equality and hashing are by id; the
-    payload (a rational, a natural, ...) is along for the ride."""
-
-    id: int
-    payload: object = field(default=None, compare=False)
-
-
 class FiniteDomain:
-    """A finite universe of points with ids 0 .. size-1."""
+    """A finite universe: the point ids 0 .. size-1."""
 
-    def __init__(self, payloads: Sequence[object] | None = None, size: int | None = None):
-        if payloads is None:
-            if size is None:
-                raise ValueError("finite domain needs payloads or a size")
-            payloads = [None] * size
-        self._points = tuple(Point(i, p) for i, p in enumerate(payloads))
-        if not self._points:
+    size: int
+
+    def __post_init__(self) -> None:
+        if isinstance(self.size, bool) or not isinstance(self.size, int):
+            raise ValueError(f"finite domain size must be an integer, got {self.size!r}")
+        if self.size < 1:
             raise ValueError("finite domain must contain at least one point")
 
-    @property
-    def size(self) -> int:
-        return len(self._points)
-
     def ids(self) -> range:
-        return range(len(self._points))
-
-    def point(self, index: int) -> Point:
-        if not 0 <= index < len(self._points):
-            raise IndexError(f"index {index} outside domain of size {len(self._points)}")
-        return self._points[index]
-
-    def index(self, point: Point) -> int:
-        return point.id
+        return range(self.size)
 
 
-class EnumeratedDomain:
-    """A countable universe enumerated by index; point ids equal indices,
-    so point(i) and index(p) are mutually inverse over registered points.
-    Points are built on demand."""
+@dataclass(frozen=True)
+class CountableDomain:
+    """The countable universe of point ids 0, 1, 2, ..."""
 
-    size = None
-
-    def __init__(self, enumerator: Callable[[int], object]):
-        self._enumerator = enumerator
-
-    def point(self, index: int) -> Point:
-        if index < 0:
-            raise IndexError("enumeration index must be >= 0")
-        return Point(index, self._enumerator(index))
-
-    def index(self, point: Point) -> int:
-        return point.id
+    size = None  # no largest id
 
 
-Domain = FiniteDomain | EnumeratedDomain
+Domain = FiniteDomain | CountableDomain
 
 
-def naturals_domain() -> EnumeratedDomain:
-    """The naturals 0, 1, 2, ... with payload equal to the index."""
-    return EnumeratedDomain(lambda i: i)
+def naturals_domain() -> CountableDomain:
+    """The naturals 0, 1, 2, ..., each id standing for itself."""
+    return CountableDomain()
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,8 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
 def identity_eta_scheme(m: int = 1) -> MonotoneScheme:
     """Deliberately unsound diagnostic scheme: drops the smallest id and
     reconstructs nothing beyond its input."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"identity-eta arity m must be an integer >= 0, got {m!r}")
 
     def compress(beta: frozenset[int]) -> frozenset[int]:
         return beta - {min(beta)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .core import EnumeratedDomain, FiniteDomain
+from .core import CountableDomain, FiniteDomain
 from .seeds import order_hash
 
 ContextChain = tuple[int, ...]
@@ -87,7 +87,7 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
     def key(level: int, context: ContextChain, point_id: int) -> int:
         positions = ordering(level, context)[1]
         if point_id not in positions:
-            raise KeyError(f"point {point_id} is not in the domain")
+            raise ValueError(f"point {point_id} is not in the domain")
         return positions[point_id]
 
     def below(context: ContextChain, bound: int) -> frozenset[int]:
@@ -97,14 +97,14 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
     return OrderTower(depth, key, below, frozenset(ids))
 
 
-def enumerated_tower(domain: EnumeratedDomain) -> OrderTower:
-    """Depth-0 tower whose single ordering is the domain enumeration
-    itself: the key of a point is its index, and the points below a bound
-    are the first bound+1 of the enumeration."""
+def enumerated_tower(domain: CountableDomain) -> OrderTower:
+    """Depth-0 tower whose single ordering is the countable domain's own
+    order: the key of a point is its id, and the points below a bound are
+    the ids 0 .. bound."""
 
     def key(level: int, context: ContextChain, point_id: int) -> int:
         if point_id < 0:
-            raise KeyError(f"point {point_id} is not in the domain")
+            raise ValueError(f"point {point_id} is not in the domain")
         return point_id
 
     def below(context: ContextChain, bound: int) -> frozenset[int]:

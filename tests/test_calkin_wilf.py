@@ -49,8 +49,8 @@ def test_index_of_rejects_nonpositive():
         index_of(Fraction(-3, 2))
 
 
-def test_domain_points_carry_fractions():
+def test_domain_ids_read_as_fractions():
     dom = calkin_wilf_domain()
-    assert dom.point(0).payload == Fraction(1)
-    assert dom.point(4).payload == Fraction(3, 2)
-    assert dom.index(dom.point(17)) == 17
+    assert dom.size is None
+    assert [fraction_at(i) for i in (0, 4)] == [Fraction(1), Fraction(3, 2)]
+    assert index_of(fraction_at(17)) == 17

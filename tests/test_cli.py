@@ -343,31 +343,68 @@ TEN_POINT_TOWER = {
 }
 
 
+EXPLICIT_EVAL = {"evaluate": {"m": [3], "epsilon": ["1/4"], "trials": 5}}
+
+
+def identity_eta(m, command, extra):
+    return {**NATURALS, "scheme": {"kind": "identity-eta", "m": m}, command: extra}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "command, sections",
+        "command, sections, names",
         [
             pytest.param(
                 "verify",
                 {**TEN_POINT_TOWER, "scheme": {"kind": "enumeration"}, "verify": {}},
+                "depth-0 tower",
                 id="enumeration-scheme-on-depth-1-tower",
             ),
-            pytest.param("verify", {**NATURALS, "verify": {"count": "abc"}}, id="verify-count-abc"),
+            pytest.param(
+                "verify", {**NATURALS, "verify": {"count": "abc"}}, "'abc'", id="verify-count-abc"
+            ),
             pytest.param(
                 "verify",
                 {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": 0}, "verify": {}},
+                "finite domain must contain at least one point",
                 id="domain-size-0",
             ),
             pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": [3]}, "verify": {}},
+                "finite domain size",
+                id="domain-size-list",
+            ),
+            pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": True}, "verify": {}},
+                "finite domain size",
+                id="domain-size-true",
+            ),
+            pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": 6.7}, "verify": {}},
+                "finite domain size",
+                id="domain-size-fraction",
+            ),
+            pytest.param(
                 "compress", {**TEN_POINT_TOWER, "compress": {"points": [1, 2, 100]}},
+                "point 100",
                 id="point-outside-finite-domain",
             ),
             pytest.param(
                 "compress", {**NATURALS, "compress": {"points": [1, -4, 3]}},
+                "point -4",
                 id="negative-point-on-naturals",
             ),
             pytest.param(
+                "compress", {**NATURALS, "compress": {"points": 5}},
+                "compress.points",
+                id="compress-points-not-a-list",
+            ),
+            pytest.param(
                 "descend", {**NATURALS, "descend": {"x_size": 50, "y": [1, 2, "q"]}},
+                "'q'",
                 id="descend-y-not-a-number",
             ),
             pytest.param(
@@ -375,21 +412,75 @@ class TestExitCodes:
                 {
                     **NATURALS,
                     "distribution": {"kind": "explicit", "masses": {"x": "1/2", "1": "1/2"}},
-                    "evaluate": {"m": [3], "epsilon": ["1/4"], "trials": 5},
+                    **EXPLICIT_EVAL,
                 },
+                "'x'",
                 id="mass-key-x",
+            ),
+            pytest.param(
+                "evaluate",
+                {
+                    **NATURALS,
+                    "distribution": {"kind": "explicit", "masses": [[1, "1/2"], [2, "1/2"]]},
+                    **EXPLICIT_EVAL,
+                },
+                "distribution.masses",
+                id="masses-as-list",
+            ),
+            pytest.param(
+                "verify", identity_eta(-1, "verify", {"count": 6}), "arity m",
+                id="identity-eta-negative-m-verify",
+            ),
+            pytest.param(
+                "compress", identity_eta(-1, "compress", {"points": [1, 2]}), "arity m",
+                id="identity-eta-negative-m-compress",
+            ),
+            pytest.param(
+                "evaluate",
+                {
+                    **identity_eta(-2, "evaluate", EXPLICIT_EVAL["evaluate"]),
+                    "distribution": {"kind": "uniform-range", "lo": 1, "hi": 5},
+                },
+                "arity m",
+                id="identity-eta-negative-m-evaluate",
+            ),
+            pytest.param(
+                "verify", identity_eta(1.5, "verify", {"count": 6}), "arity m",
+                id="identity-eta-fractional-m",
+            ),
+            pytest.param(
+                "verify", identity_eta("2", "verify", {"count": 6}), "arity m",
+                id="identity-eta-string-m",
             ),
         ],
     )
-    def test_bad_input_exits_two_without_traceback(self, tmp_path, capsys, command, sections):
+    def test_bad_input_exits_two_without_traceback(self, tmp_path, capsys, command, sections,
+                                                   names):
         cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
         out = str(tmp_path / "out")
         assert main([command, cfg, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(("error: ", "config error: "))
+        assert names in err
         run = run_cli_process([command, cfg, "--out", out])
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
         assert run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "sections, line",
+        [
+            ({**TEN_POINT_TOWER, "compress": {"points": [1, 2, 100]}},
+             "error: point 100 is not in the domain\n"),
+            ({**NATURALS, "compress": {"points": [1, 2, -3]}},
+             "error: point -3 is not in the domain\n"),
+        ],
+        ids=["finite-domain", "naturals"],
+    )
+    def test_point_outside_domain_message(self, tmp_path, capsys, sections, line):
+        cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
+        assert main(["compress", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == line
 
     @pytest.mark.parametrize(
         "command, sections, message",
@@ -433,6 +524,39 @@ class TestExitCodes:
 
 def read_all_outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestDomainAlias:
+    """`calkin-wilf` names the countable domain that `naturals` names: a
+    shipped config gives the same run under either kind."""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("compress", "compress_demo.json"),
+            ("descend", "descend_enumeration.json"),
+            ("evaluate", "german_tank.json"),
+            ("verify", "verify_calkin_wilf.json"),
+        ],
+    )
+    def test_shipped_config_runs_alike_under_both_kinds(self, tmp_path, monkeypatch, capsys,
+                                                        command, name):
+        config = json.loads((CONFIGS / name).read_text())
+        runs = []
+        for kind in ("naturals", "calkin-wilf"):
+            workdir = tmp_path / kind
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            config["domain"] = {"kind": kind}
+            write_config(workdir, config, name)
+            code = main([command, name, "--out", "out"])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err, read_all_outputs(workdir / "out")))
+        assert runs[0] == runs[1]
+        assert runs[0][3]
 
 
 class TestDeterminism:

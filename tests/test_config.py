@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from emx.config import ConfigError, format_rational, load_config, parse_rational
-from emx.core import EnumeratedDomain, FiniteDomain
+from emx.core import FiniteDomain
 
 
 def write(tmp_path, payload, name="exp.json"):
@@ -63,7 +63,9 @@ class TestLoadConfig:
 class TestBuilders:
     def test_domains(self, tmp_path):
         cfg = load_config(write(tmp_path, BASE))
-        assert isinstance(cfg.build_domain(), EnumeratedDomain)
+        assert cfg.build_domain().size is None
+        alias = {**BASE, "domain": {"kind": "calkin-wilf"}}
+        assert load_config(write(tmp_path, alias, "cw.json")).build_domain() == cfg.build_domain()
         cfg = load_config(
             write(tmp_path, {**BASE, "domain": {"kind": "finite", "size": 12}}, "f.json")
         )

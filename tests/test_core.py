@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from emx.calkin_wilf import calkin_wilf_domain
 from emx.core import (
     FiniteDomain,
     FiniteSupportDistribution,
     Hypothesis,
-    Point,
     Sample,
     draw_sample,
     emx_gap,
@@ -35,29 +35,25 @@ def distributions(draw, max_support=6):
 
 
 class TestPointsAndDomains:
-    def test_point_identity_is_by_id(self):
-        assert Point(3, "a") == Point(3, "b")
-        assert hash(Point(3, "a")) == hash(Point(3, "b"))
-        assert Point(3) != Point(4)
-
     def test_finite_domain_indexing(self):
-        dom = FiniteDomain(payloads=["a", "b", "c"])
+        dom = FiniteDomain(size=3)
         assert dom.size == 3
-        assert dom.point(1).payload == "b"
-        assert dom.index(dom.point(2)) == 2
-        with pytest.raises(IndexError):
-            dom.point(3)
+        assert dom.ids() == range(3)
+        assert dom == FiniteDomain(size=3) != FiniteDomain(size=4)
 
     def test_finite_domain_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one point"):
             FiniteDomain(size=0)
 
-    def test_naturals_domain_is_lazy_and_inverse(self):
+    @pytest.mark.parametrize("size", [[3], True, 6.7, "3", None])
+    def test_finite_domain_rejects_non_integer_sizes(self, size):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            FiniteDomain(size=size)
+
+    def test_naturals_domain_is_countable(self):
         dom = naturals_domain()
-        p = dom.point(17)
-        assert p.payload == 17
-        assert dom.index(p) == 17
-        assert dom.point(17) == p
+        assert dom.size is None
+        assert dom == naturals_domain() == calkin_wilf_domain()
 
 
 class TestDistribution:

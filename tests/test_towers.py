@@ -132,7 +132,7 @@ class TestFiniteProxy:
     def test_unknown_point_rejected(self):
         dom = FiniteDomain(size=5)
         tower = finite_proxy_tower(dom, 0, 0)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^point 17 is not in the domain$"):
             tower.key(0, (), 17)
 
 
