@@ -25,7 +25,7 @@ from .analysis import (
     witness_to_text,
 )
 from .chains import ResourceLimitError, compress_chain, trace_to_text
-from .config import ConfigError, ExperimentConfig, format_rational, load_config, parse_rational
+from .config import ConfigError, ExperimentConfig, format_rational, load_config
 from .evaluation import evaluate
 from .schemes import SchemeError, seeded_subsets, verify_soundness
 
@@ -43,36 +43,31 @@ def _csv_writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-def _verify_subsets(cfg: ExperimentConfig, domain, arity: int) -> list[frozenset[int]]:
-    spec = cfg.section("verify")
-    mode = spec.get("mode", "exhaustive")
-    if mode == "exhaustive":
-        count = spec.get("count", domain.size)
-        if count is None:
-            raise ConfigError(f"{cfg.path}: verify.count is required for countable domains")
-        count = int(count)
-        if comb(count, arity + 1) > EXHAUSTIVE_SUBSET_LIMIT:
-            raise ConfigError(
-                f"{cfg.path}: exhaustive verify over {count} points needs "
-                f"{comb(count, arity + 1)} subsets, above the {EXHAUSTIVE_SUBSET_LIMIT} guard"
-            )
-        return [frozenset(c) for c in combinations(range(count), arity + 1)]
+def _verify_subsets(cfg: ExperimentConfig, size: int | None, arity: int) -> list[frozenset[int]]:
+    mode = cfg.field("verify", "mode", "exhaustive")
+    if mode not in ("exhaustive", "random"):
+        raise ConfigError(f"{cfg.path}: unknown verify mode {mode!r}")
+    name = "count" if mode == "exhaustive" else "pool"
+    points = cfg.field("verify", name, size)
+    if points is None:
+        raise ConfigError(f"{cfg.path}: verify.{name} is required for countable domains")
+    if points < arity + 1:  # fewer points than one subset: nothing would be checked
+        raise ConfigError(f"{cfg.path}: verify.{name} must be >= {arity + 1}, got {points}")
     if mode == "random":
-        pool = spec.get("pool", domain.size)
-        if pool is None:
-            raise ConfigError(f"{cfg.path}: verify.pool is required for countable domains")
-        samples = int(spec.get("samples", 100))
-        seed = int(spec.get("seed", 0))
-        return seeded_subsets(range(int(pool)), arity + 1, samples, seed)
-    raise ConfigError(f"{cfg.path}: unknown verify mode {mode!r}")
+        samples, seed = cfg.field("verify", "samples", 100), cfg.field("verify", "seed", 0)
+        return seeded_subsets(range(points), arity + 1, samples, seed)
+    if comb(points, arity + 1) > EXHAUSTIVE_SUBSET_LIMIT:
+        raise ConfigError(
+            f"{cfg.path}: exhaustive verify over {points} points needs "
+            f"{comb(points, arity + 1)} subsets, above the {EXHAUSTIVE_SUBSET_LIMIT} guard"
+        )
+    return [frozenset(c) for c in combinations(range(points), arity + 1)]
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    domain = cfg.build_domain()
-    tower = cfg.build_tower(domain)
-    scheme = cfg.build_scheme(tower)
-    subsets = _verify_subsets(cfg, domain, scheme.m)
+    scheme = cfg.build_scheme()
+    subsets = _verify_subsets(cfg, cfg.build_domain().size, scheme.m)
     report = verify_soundness(scheme, subsets)
 
     os.makedirs(args.out, exist_ok=True)
@@ -87,52 +82,24 @@ def cmd_verify(args) -> int:
     return 0 if not report.violations else 1
 
 
-def _as_list(raw) -> list:
-    return list(raw) if isinstance(raw, list) else [raw]
-
-
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    domain = cfg.build_domain()
-    tower = cfg.build_tower(domain)
-    scheme = cfg.build_scheme(tower)
-    learner = cfg.build_learner(scheme, cap_override=args.cap)
+    learner = cfg.build_learner(cfg.build_scheme(), cap_override=args.cap)
     dist = cfg.build_distribution()
 
-    spec = cfg.section("evaluate")
-    try:
-        m_values = sorted(int(m) for m in _as_list(spec.get("m", [])))
-        trials = int(spec.get("trials", 1000))
-        seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-        confidence = float(spec.get("confidence", 0.99))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{cfg.path}: evaluate: {err}") from None
+    m_values = sorted(cfg.field("evaluate", "m", []))
     if not m_values:
         raise ConfigError(f"{cfg.path}: evaluate.m is required")
-    if m_values[0] < 0:
-        raise ConfigError(f"{cfg.path}: evaluate.m must be >= 0, got {m_values[0]}")
-    if trials < 1:
-        raise ConfigError(f"{cfg.path}: evaluate.trials must be >= 1, got {trials}")
-    if not 0 < confidence < 1:
-        raise ConfigError(f"{cfg.path}: evaluate.confidence must be in (0, 1), got {confidence}")
-    epsilons = sorted(
-        parse_rational(e, "evaluate.epsilon") for e in _as_list(spec.get("epsilon", []))
-    )
+    epsilons = sorted(cfg.field("evaluate", "epsilon", []))
     if not epsilons:
         raise ConfigError(f"{cfg.path}: evaluate.epsilon is required")
-    per_trial = bool(spec.get("per_trial", False))
+    trials = cfg.field("evaluate", "trials", 1000)
+    seed = args.seed if args.seed is not None else cfg.field("evaluate", "seed", 0)
+    confidence = cfg.field("evaluate", "confidence", 0.99)
+    per_trial = cfg.field("evaluate", "per_trial", False)
 
     reports = [
-        evaluate(
-            learner,
-            dist,
-            m,
-            eps,
-            trials,
-            seed,
-            confidence=confidence,
-            keep_records=per_trial,
-        )
+        evaluate(learner, dist, m, eps, trials, seed, confidence=confidence, keep_records=per_trial)
         for m in m_values
         for eps in epsilons
     ]
@@ -207,25 +174,18 @@ def cmd_search(args) -> int:
 
 def cmd_descend(args) -> int:
     cfg = load_config(args.config)
-    domain = cfg.build_domain()
-    tower = cfg.build_tower(domain)
-    scheme = cfg.build_scheme(tower)
-
-    spec = cfg.section("descend")
-    if domain.size is None:
-        x_size = spec.get("x_size")
-        if x_size is None:
-            raise ConfigError(f"{cfg.path}: descend.x_size is required for countable domains")
-        universe = range(int(x_size))
-    else:
-        x_size = int(spec.get("x_size", domain.size))
-        universe = range(min(x_size, domain.size))
-    if "y" in spec:
-        sub = [int(v) for v in spec["y"]]
-    elif "y_size" in spec:
-        sub = list(range(int(spec["y_size"])))
-    else:
-        raise ConfigError(f"{cfg.path}: descend needs y or y_size")
+    scheme = cfg.build_scheme()
+    size = cfg.build_domain().size
+    x_size = cfg.field("descend", "x_size", size)
+    if x_size is None:
+        raise ConfigError(f"{cfg.path}: descend.x_size is required for countable domains")
+    universe = range(x_size if size is None else min(x_size, size))
+    sub = cfg.field("descend", "y", None)
+    if sub is None:
+        y_size = cfg.field("descend", "y_size", None)
+        if y_size is None:
+            raise ConfigError(f"{cfg.path}: descend needs y or y_size")
+        sub = list(range(y_size))
 
     work = comb(len(sub), scheme.m) + comb(len(sub), scheme.m + 1)
     if work > DESCEND_SUBSET_LIMIT:
@@ -257,16 +217,11 @@ def cmd_descend(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = load_config(args.config)
-    domain = cfg.build_domain()
-    tower = cfg.build_tower(domain)
-    scheme = cfg.build_scheme(tower)
-    spec = cfg.section("compress")
-    points = spec.get("points")
+    scheme = cfg.build_scheme()
+    points = cfg.field("compress", "points", [])
     if not points:
         raise ConfigError(f"{cfg.path}: compress.points is required")
-    if not isinstance(points, list):
-        raise ConfigError(f"{cfg.path}: compress.points must be a list of point ids")
-    trace = compress_chain([int(p) for p in points], scheme)
+    trace = compress_chain(points, scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "trace.txt"), trace_to_text(trace))
     print(f"compressed {len(trace.original)} points to kernel {sorted(trace.kernel)}")

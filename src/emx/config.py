@@ -1,8 +1,10 @@
 """Experiment configuration: one JSON file per run, schema-tagged.
 
 Rationals are written as "num/den" strings (or [num, den] pairs) in both
-configs and outputs. Building the pieces from a config is deterministic,
-so identical configs produce byte-identical output artifacts.
+configs and outputs. `load_config` checks every field against FIELDS in
+one pass, so the builders and commands read only checked values. Building
+the pieces from a config is deterministic, so identical configs produce
+byte-identical output artifacts.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_origin
 
 from .chains import DEFAULT_CAP
 from .core import Domain, FiniteDomain, FiniteSupportDistribution, naturals_domain
@@ -20,28 +23,46 @@ from .towers import OrderTower, enumerated_tower, finite_proxy_tower
 
 SCHEMA = "emx-experiment/1"
 
-# Keys that earlier versions read but that never changed a result; a config
-# that still sets one is rejected rather than silently ignored.
-REMOVED_KEYS = (("evaluate", "delta"), ("descend", "z_mode"))
+# Every field a config may hold: section -> field -> (JSON type, minimum).
+# int excludes booleans; a Fraction is a rational (see parse_rational); a
+# float is a number strictly between 0 and 1; `X | list[X]` also takes a
+# single X. A minimum applies to each item of a list.
+FIELDS: dict[str, dict[str, tuple[Any, int | None]]] = {
+    "domain": {"kind": (str, None), "size": (int, 1)},
+    "tower": {"depth": (int, 0), "seed": (int, None)},
+    "scheme": {"kind": (str, None), "m": (int, 0)},
+    "learner": {"cap": (int, 1)},
+    "distribution": {"kind": (str, None), "lo": (int, None), "hi": (int, None),
+                     "masses": (dict[str, Fraction], None)},
+    "evaluate": {"m": (int | list[int], 0), "epsilon": (Fraction | list[Fraction], None),
+                 "trials": (int, 1), "seed": (int, None), "confidence": (float, None),
+                 "per_trial": (bool, None)},
+    "verify": {"mode": (str, None), "count": (int, 0), "samples": (int, 1),
+               "seed": (int, None), "pool": (int, 0)},
+    "descend": {"x_size": (int, 0), "y_size": (int, 0), "y": (list[int], None)},
+    "compress": {"points": (list[int], None)},
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", float: "a number"}
+
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Malformed or incomplete experiment configuration."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(raw: Any, where: str = "value") -> Fraction:
-    """Accept "num/den" strings, [num, den] pairs, and integers."""
+    """Accept "num/den" strings, [num, den] pairs of integers, and integers."""
     try:
-        if isinstance(raw, bool):
-            raise ValueError("booleans are not rationals")
-        if isinstance(raw, (list, tuple)):
-            num, den = raw
-            return Fraction(int(num), int(den))
-        if isinstance(raw, int):
+        if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_int, raw)):
+            return Fraction(*raw)
+        if _is_int(raw) or isinstance(raw, str):
             return Fraction(raw)
-        if isinstance(raw, str):
-            return Fraction(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise ConfigError(f"{where}: cannot read {raw!r} as a rational: {err}") from None
     raise ConfigError(f"{where}: cannot read {raw!r} as a rational")
 
@@ -50,72 +71,83 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _check_field(where: str, kind: Any, minimum: int | None, value: Any) -> Any:
+    """Check one value against its FIELDS entry and return it with
+    rationals parsed and a single X of an `X | list[X]` field as [X]."""
+    if isinstance(kind, UnionType):
+        kind = get_args(kind)[1]
+        value = value if isinstance(value, list) else [value]
+    container = get_origin(kind)
+    if container is not None:
+        if not isinstance(value, container):
+            noun = "a list" if container is list else "an object"
+            raise ConfigError(f"{where} must be {noun}, got {value!r}")
+        item = get_args(kind)[-1]
+        if container is list:
+            return [_check_field(where, item, minimum, v) for v in value]
+        return {k: _check_field(f"{where}[{k}]", item, minimum, v) for k, v in value.items()}
+    if kind is Fraction:
+        return parse_rational(value, where)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is float and not 0 < value < 1:
+        raise ConfigError(f"{where} must be in (0, 1), got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
-    raw: dict
+    values: dict[str, dict[str, Any]]
     path: str
 
-    def section(self, name: str) -> dict:
-        got = self.raw.get(name)
-        if got is None:
-            raise ConfigError(f"{self.path}: missing section {name!r}")
-        if not isinstance(got, dict):
-            raise ConfigError(f"{self.path}: section {name!r} must be an object")
+    def field(self, section: str, name: str, default: Any = _REQUIRED) -> Any:
+        """The checked value of section.name, or default when it is absent
+        (required if no default); the section itself must be present."""
+        if section not in self.values:
+            raise ConfigError(f"{self.path}: missing section {section!r}")
+        got = self.values[section].get(name, default)
+        if got is _REQUIRED:
+            raise ConfigError(f"{self.path}: missing field {section}.{name}")
         return got
 
-    def field(self, section: str, name: str, default: Any = None, required: bool = False) -> Any:
-        sec = self.section(section)
-        if name not in sec:
-            if required:
-                raise ConfigError(f"{self.path}: missing field {section}.{name}")
-            return default
-        return sec[name]
-
     def build_domain(self) -> Domain:
-        kind = self.field("domain", "kind", required=True)
+        kind = self.field("domain", "kind")
         # calkin-wilf names the same ids, read as rationals by fraction_at
         if kind in ("naturals", "calkin-wilf"):
             return naturals_domain()
         if kind == "finite":
-            return FiniteDomain(size=self.field("domain", "size", required=True))
+            return FiniteDomain(size=self.field("domain", "size"))
         raise ConfigError(f"{self.path}: unknown domain kind {kind!r}")
 
     def build_tower(self, domain: Domain) -> OrderTower:
         if domain.size is None:
             return enumerated_tower(domain)
-        spec = self.section("tower")
-        depth = spec.get("depth")
-        seed = spec.get("seed")
-        if depth is None or seed is None:
-            raise ConfigError(f"{self.path}: tower needs depth and seed for finite domains")
-        return finite_proxy_tower(domain, int(depth), int(seed))
+        return finite_proxy_tower(domain, self.field("tower", "depth"), self.field("tower", "seed"))
 
-    def build_scheme(self, tower: OrderTower) -> MonotoneScheme:
-        kind = self.field("scheme", "kind", required=True)
+    def build_scheme(self) -> MonotoneScheme:
+        """The configured scheme, after the domain and tower it needs."""
+        tower = self.build_tower(self.build_domain())
+        kind = self.field("scheme", "kind")
         if kind == "enumeration":
             return enumeration_scheme(tower)
         if kind == "tower":
             return tower_scheme(tower)
         if kind == "identity-eta":
-            return identity_eta_scheme(self.field("scheme", "m", default=1))
+            return identity_eta_scheme(self.field("scheme", "m", 1))
         raise ConfigError(f"{self.path}: unknown scheme kind {kind!r}")
 
     def build_distribution(self) -> FiniteSupportDistribution:
-        kind = self.field("distribution", "kind", required=True)
+        kind = self.field("distribution", "kind")
         if kind == "uniform-range":
-            lo = int(self.field("distribution", "lo", required=True))
-            hi = int(self.field("distribution", "hi", required=True))
+            lo, hi = self.field("distribution", "lo"), self.field("distribution", "hi")
             if hi < lo:
                 raise ConfigError(f"{self.path}: distribution range is empty")
             return FiniteSupportDistribution.uniform(range(lo, hi + 1))
         if kind == "explicit":
-            raw = self.field("distribution", "masses", required=True)
-            if not isinstance(raw, dict):
-                raise ConfigError(f"{self.path}: distribution.masses must map point ids to masses")
-            masses = {
-                int(pid): parse_rational(mass, f"distribution.masses[{pid}]")
-                for pid, mass in raw.items()
-            }
+            masses = {int(pid): mass for pid, mass in self.field("distribution", "masses").items()}
             try:
                 return FiniteSupportDistribution(masses)
             except ValueError as err:
@@ -123,15 +155,17 @@ class ExperimentConfig:
         raise ConfigError(f"{self.path}: unknown distribution kind {kind!r}")
 
     def build_learner(self, scheme: MonotoneScheme, cap_override: int | None = None) -> EmxLearner:
-        cap = cap_override
-        if cap is None:
-            cap = int(self.field("learner", "cap", default=DEFAULT_CAP)) if "learner" in self.raw else DEFAULT_CAP
+        if cap_override is not None:
+            cap = _check_field("--cap", *FIELDS["learner"]["cap"], cap_override)
+        else:
+            cap = self.field("learner", "cap", DEFAULT_CAP) if "learner" in self.values else DEFAULT_CAP
         return EmxLearner(scheme, scheme.m, cap)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read and schema-check a config file; parse errors carry line/field
-    diagnostics."""
+    """Read a config file and check every field against FIELDS: unknown
+    sections and fields, wrong JSON types and values below a minimum are
+    ConfigErrors naming the field. JSON errors carry line and column."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -141,10 +175,20 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    schema = raw.get("schema")
+    schema = raw.pop("schema", None)
     if schema != SCHEMA:
         raise ConfigError(f"{path}: schema must be {SCHEMA!r}, got {schema!r}")
-    for section, key in REMOVED_KEYS:
-        if isinstance(raw.get(section), dict) and key in raw[section]:
-            raise ConfigError(f"{path}: {section}.{key} was removed and is no longer accepted")
-    return ExperimentConfig(raw, path)
+    values = {}
+    for section, given in raw.items():
+        if section not in FIELDS:
+            raise ConfigError(f"{path}: unknown section {section!r}")
+        if not isinstance(given, dict):
+            raise ConfigError(f"{path}: section {section!r} must be an object")
+        unknown = [name for name in given if name not in FIELDS[section]]
+        if unknown:
+            raise ConfigError(f"{path}: unknown field {section}.{unknown[0]}")
+        values[section] = {
+            name: _check_field(f"{path}: {section}.{name}", *FIELDS[section][name], value)
+            for name, value in given.items()
+        }
+    return ExperimentConfig(values, path)

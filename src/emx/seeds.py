@@ -24,7 +24,7 @@ def splitmix64(state: int) -> int:
 def split_seed(master: int, index: int) -> int:
     """Derive the index-th child seed from a master seed.
 
-    The split convention, used for parallel trials, is
+    The split convention, which gives trial i of an evaluation its seed, is
     splitmix64(master xor splitmix64(index)); children of one master are
     pairwise distinct mixed streams and the derivation is identical on
     every platform.

@@ -1,16 +1,25 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emx
 import emx.cli
 from emx.analysis import SearchProblem, counting_refutes
 from emx.cli import SEARCH_SUBSET_LIMIT, main
+from emx.config import FIELDS
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -174,9 +183,9 @@ class TestEvaluate:
         [
             ({"trials": 0}, "evaluate.trials must be >= 1, got 0"),
             ({"confidence": 1.0}, "evaluate.confidence must be in (0, 1), got 1.0"),
-            ({"confidence": 0}, "evaluate.confidence must be in (0, 1), got 0.0"),
+            ({"confidence": 0}, "evaluate.confidence must be in (0, 1), got 0"),
             ({"m": [4, -1]}, "evaluate.m must be >= 0, got -1"),
-            ({"trials": "many"}, "evaluate: invalid literal for int()"),
+            ({"trials": "many"}, "evaluate.trials must be an integer, got 'many'"),
         ],
     )
     def test_bad_settings_exit_two_before_any_trial(self, tmp_path, monkeypatch, capsys,
@@ -196,6 +205,17 @@ class TestEvaluate:
         assert run.stderr.startswith("config error: ")
         assert run.stderr.count("\n") == 1
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_override_below_one_exits_two(self, tmp_path, monkeypatch, capsys, cap):
+        cfg = tank_eval_config(tmp_path)
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("evaluate ran with an invalid cap")
+
+        monkeypatch.setattr(emx.cli, "evaluate", no_trials)
+        assert main(["evaluate", cfg, "--out", str(tmp_path / "out"), "--cap", cap]) == 2
+        assert capsys.readouterr().err == f"config error: --cap must be >= 1, got {cap}\n"
 
 
 class TestSearch:
@@ -366,25 +386,25 @@ class TestExitCodes:
             pytest.param(
                 "verify",
                 {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": 0}, "verify": {}},
-                "finite domain must contain at least one point",
+                "domain.size must be >= 1, got 0",
                 id="domain-size-0",
             ),
             pytest.param(
                 "verify",
                 {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": [3]}, "verify": {}},
-                "finite domain size",
+                "domain.size must be an integer, got [3]",
                 id="domain-size-list",
             ),
             pytest.param(
                 "verify",
                 {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": True}, "verify": {}},
-                "finite domain size",
+                "domain.size must be an integer, got True",
                 id="domain-size-true",
             ),
             pytest.param(
                 "verify",
                 {**TEN_POINT_TOWER, "domain": {"kind": "finite", "size": 6.7}, "verify": {}},
-                "finite domain size",
+                "domain.size must be an integer, got 6.7",
                 id="domain-size-fraction",
             ),
             pytest.param(
@@ -428,11 +448,12 @@ class TestExitCodes:
                 id="masses-as-list",
             ),
             pytest.param(
-                "verify", identity_eta(-1, "verify", {"count": 6}), "arity m",
+                "verify", identity_eta(-1, "verify", {"count": 6}), "scheme.m must be >= 0, got -1",
                 id="identity-eta-negative-m-verify",
             ),
             pytest.param(
-                "compress", identity_eta(-1, "compress", {"points": [1, 2]}), "arity m",
+                "compress", identity_eta(-1, "compress", {"points": [1, 2]}),
+                "scheme.m must be >= 0, got -1",
                 id="identity-eta-negative-m-compress",
             ),
             pytest.param(
@@ -441,16 +462,63 @@ class TestExitCodes:
                     **identity_eta(-2, "evaluate", EXPLICIT_EVAL["evaluate"]),
                     "distribution": {"kind": "uniform-range", "lo": 1, "hi": 5},
                 },
-                "arity m",
+                "scheme.m must be >= 0, got -2",
                 id="identity-eta-negative-m-evaluate",
             ),
             pytest.param(
-                "verify", identity_eta(1.5, "verify", {"count": 6}), "arity m",
+                "verify", identity_eta(1.5, "verify", {"count": 6}),
+                "scheme.m must be an integer, got 1.5",
                 id="identity-eta-fractional-m",
             ),
             pytest.param(
-                "verify", identity_eta("2", "verify", {"count": 6}), "arity m",
+                "verify", identity_eta("2", "verify", {"count": 6}),
+                "scheme.m must be an integer, got '2'",
                 id="identity-eta-string-m",
+            ),
+            pytest.param(
+                "verify", {**NATURALS, "verify": {"count": 1}}, "verify.count must be >= 2, got 1",
+                id="verify-count-below-one-subset",
+            ),
+            pytest.param(
+                "verify", {**TEN_POINT_TOWER, "verify": {"mode": "random", "samples": 0}},
+                "verify.samples must be >= 1, got 0",
+                id="verify-samples-0",
+            ),
+            pytest.param(
+                "verify", {**TEN_POINT_TOWER, "verify": {"mode": "random", "samples": -1}},
+                "verify.samples must be >= 1, got -1",
+                id="verify-samples-negative",
+            ),
+            pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "tower": {"depth": 2, "seed": 7},
+                 "verify": {"mode": "random", "pool": 3}},
+                "verify.pool must be >= 4, got 3",
+                id="verify-pool-below-one-subset",
+            ),
+            pytest.param(
+                "evaluate",
+                {**NATURALS, "distribution": {"kind": "uniform-range", "lo": 1, "hi": 5},
+                 "evaluate": {**EXPLICIT_EVAL["evaluate"], "per_trial": "false"}},
+                "evaluate.per_trial must be true or false, got 'false'",
+                id="per-trial-string",
+            ),
+            pytest.param(
+                "verify", {**TEN_POINT_TOWER, "tower": {"depth": 1.9, "seed": 1}, "verify": {}},
+                "tower.depth must be an integer, got 1.9",
+                id="tower-depth-fraction",
+            ),
+            pytest.param(
+                "evaluate",
+                {**NATURALS, "distribution": {"kind": "uniform-range", "lo": 1, "hi": 5},
+                 "evaluate": {**EXPLICIT_EVAL["evaluate"], "trails": 10}},
+                "unknown field evaluate.trails",
+                id="misspelt-evaluate-field",
+            ),
+            pytest.param(
+                "compress", {**NATURALS, "compres": {"points": [1, 2]}},
+                "unknown section 'compres'",
+                id="misspelt-section",
             ),
         ],
     )
@@ -601,3 +669,93 @@ class TestDeterminism:
                 assert main(argv + ["--out", str(first)]) == 0
                 assert main(argv + ["--out", str(second)]) == 0
             assert read_all_outputs(first) == read_all_outputs(second)
+
+
+# Values of the string fields that reach the builders; any other string is
+# drawn as an arbitrary JSON value.
+FIELD_WORDS = {
+    ("domain", "kind"): ["naturals", "calkin-wilf", "finite"],
+    ("scheme", "kind"): ["enumeration", "tower", "identity-eta"],
+    ("distribution", "kind"): ["uniform-range", "explicit"],
+    ("verify", "mode"): ["exhaustive", "random"],
+}
+SMALL_INTS = st.integers(-2, 12)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Sections a command reads besides domain, tower and scheme.
+COMMAND_SECTIONS = {
+    "verify": {"verify"},
+    "evaluate": {"learner", "distribution", "evaluate"},
+    "descend": {"descend"},
+    "compress": {"compress"},
+}
+FIELD_NAMES = [(section, name) for section, fields in FIELDS.items() for name in fields]
+
+
+def valid_values(section, name, kind=None):
+    """Values a FIELDS entry accepts, with integers from -2 (or the
+    field's minimum) to 12."""
+    given, minimum = FIELDS[section][name]
+    kind = given if kind is None else kind
+    if isinstance(kind, UnionType):
+        return st.one_of(*(valid_values(section, name, k) for k in get_args(kind)))
+    if get_origin(kind) is list:
+        return st.lists(valid_values(section, name, get_args(kind)[0]), min_size=1, max_size=3)
+    if get_origin(kind) is dict:
+        return st.dictionaries(SMALL_INTS.map(str), valid_values(section, name, Fraction),
+                               max_size=4)
+    if kind is Fraction:
+        pairs = st.tuples(SMALL_INTS, st.integers(1, 12)).map(list)
+        return SMALL_INTS | pairs | pairs.map(lambda p: f"{p[0]}/{p[1]}")
+    if kind is str:
+        return st.sampled_from(FIELD_WORDS[section, name])
+    if kind is bool:
+        return st.booleans()
+    if kind is float:
+        return st.floats(0, 1, exclude_min=True, exclude_max=True)
+    return st.integers(-2 if minimum is None else minimum, 12)
+
+
+class TestFuzzedConfigs:
+    """The exit-code contract on configs drawn from the field table. A
+    drawn config holds the sections its command reads, now and then one
+    more, and all their fields but at most two, with valid values. In
+    half of the examples up to three fields hold any JSON value instead,
+    and now and then so does a whole section or the schema tag."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_exit_code_contract(self, data):
+        command = data.draw(st.sampled_from(sorted(COMMAND_SECTIONS)))
+        absent = data.draw(st.sets(st.sampled_from(FIELD_NAMES), max_size=2))
+        wild = set()
+        if data.draw(st.booleans()):
+            wild = data.draw(st.sets(st.sampled_from(FIELD_NAMES), max_size=3))
+        sections = {"domain", "tower", "scheme"} | COMMAND_SECTIONS[command]
+        sections |= data.draw(st.sets(st.sampled_from(sorted(FIELDS)), max_size=1))
+        config = {"schema": "emx-experiment/1"}
+        for section, name in FIELD_NAMES:
+            if section in sections and (section, name) not in absent:
+                values = ANY_JSON if (section, name) in wild else valid_values(section, name)
+                config.setdefault(section, {})[name] = data.draw(values)
+        if wild and data.draw(st.booleans()):
+            config[data.draw(st.sampled_from(sorted(config)))] = data.draw(ANY_JSON)
+        flags = []
+        if command == "evaluate":
+            for flag in ("--cap", "--seed"):
+                if data.draw(st.booleans()):
+                    flags += [flag, str(data.draw(SMALL_INTS))]
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "exp.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main([command, path, "--out", os.path.join(work, "out"), *flags])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert stderr.getvalue().count("\n") <= 1

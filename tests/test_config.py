@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from emx.config import ConfigError, format_rational, load_config, parse_rational
+from emx.config import FIELDS, ConfigError, format_rational, load_config, parse_rational
 from emx.core import FiniteDomain
 
 
@@ -27,7 +29,8 @@ class TestParseRational:
         assert parse_rational(2) == Fraction(2)
 
     def test_rejected_forms(self):
-        for bad in ("x", [1, 0], None, True, [1]):
+        # a pair holds two JSON integers, so none of its entries is truncated
+        for bad in ("x", [1, 0], None, True, [1], [1.5, 2], [True, 2], [1, 2.9]):
             with pytest.raises(ConfigError):
                 parse_rational(bad)
 
@@ -93,7 +96,7 @@ class TestBuilders:
             "learner": {"cap": 500},
         }
         cfg = load_config(write(tmp_path, payload))
-        scheme = cfg.build_scheme(cfg.build_tower(cfg.build_domain()))
+        scheme = cfg.build_scheme()
         assert scheme.m == 2
         learner = cfg.build_learner(scheme)
         assert learner.cap == 500
@@ -113,3 +116,20 @@ class TestBuilders:
         cfg = load_config(write(tmp_path, payload, "bad.json"))
         with pytest.raises(ConfigError):
             cfg.build_distribution()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeSchema:
+    def test_schema_example_loads(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        text = text[text.index("### Config schema"):]
+        block = text[text.index("```json\n") + len("```json\n"):]
+        path = tmp_path / "readme.json"
+        path.write_text(block[:block.index("```")])
+        load_config(str(path))
+
+    def test_field_table_lists_every_field(self):
+        rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", README.read_text(encoding="utf-8"), re.M)
+        assert rows == [(section, name) for section, fields in FIELDS.items() for name in fields]
