@@ -93,6 +93,9 @@ def cmd_evaluate(args) -> int:
     epsilons = sorted(cfg.field("evaluate", "epsilon", []))
     if not epsilons:
         raise ConfigError(f"{cfg.path}: evaluate.epsilon is required")
+    bad = [format_rational(eps) for eps in epsilons if not 0 < eps <= 1]
+    if bad:
+        raise ConfigError(f"{cfg.path}: evaluate.epsilon must be in (0, 1], got {bad[0]}")
     trials = cfg.field("evaluate", "trials", 1000)
     seed = args.seed if args.seed is not None else cfg.field("evaluate", "seed", 0)
     confidence = cfg.field("evaluate", "confidence", 0.99)
@@ -186,6 +189,8 @@ def cmd_descend(args) -> int:
         if y_size is None:
             raise ConfigError(f"{cfg.path}: descend needs y or y_size")
         sub = list(range(y_size))
+    elif len(set(sub)) < len(sub):
+        raise ConfigError(f"{cfg.path}: descend.y must hold distinct ids, got {sub}")
 
     work = comb(len(sub), scheme.m) + comb(len(sub), scheme.m + 1)
     if work > DESCEND_SUBSET_LIMIT:

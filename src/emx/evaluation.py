@@ -137,6 +137,8 @@ def evaluate(
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     epsilon = Fraction(epsilon)
+    if not 0 < epsilon <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
     threshold = 1 - epsilon
     denom = dist.denominator
     # captured <= threshold  iff  weight * threshold.den <= threshold.num * D

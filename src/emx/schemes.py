@@ -6,7 +6,8 @@ finite set. Soundness means every (m+1)-set is contained in
 eta(sigma(...)) of itself, so the dropped point is always recoverable.
 Selection (sigma's output is a subset of its input) is part of the
 contract here: it is what the tower construction does and what the
-descent reduction relies on.
+descent reduction relies on. The tower scheme is the one construction;
+the 2-to-1 enumeration scheme is its depth-0 case.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Iterable, Sequence
 from .towers import OrderTower
 
 
-# Reconstructions an enumeration scheme keeps per instance, least recently
-# used first out; on the naturals each one is a prefix 0..k.
+# Reconstructions a tower scheme keeps per instance, least recently used
+# first out; on the naturals each one is a prefix 0..k.
 RECONSTRUCT_CACHE_SIZE = 1024
 
 
@@ -35,7 +36,7 @@ class MonotoneScheme:
     set, which every reconstruction must stay inside."""
 
     m: int
-    compressor: Callable[[frozenset[int]], frozenset[int]]
+    compressor: Callable[[frozenset[int]], Iterable[int]]
     reconstructor: Callable[[frozenset[int]], frozenset[int]]
     budget: int | None = None
     universe: frozenset[int] | None = None
@@ -65,23 +66,12 @@ class MonotoneScheme:
 
 
 def enumeration_scheme(tower: OrderTower) -> MonotoneScheme:
-    """2-to-1 scheme on an enumerated order: keep the later of two points,
-    reconstruct as every point up to and including the kept one. The
-    dropped point sits earlier in the enumeration, so it always reappears.
-    """
+    """2-to-1 scheme on an enumerated order: the depth-0 tower scheme,
+    which keeps the later of two points and reconstructs every point up to
+    and including the kept one."""
     if tower.depth != 0:
         raise ValueError("the enumeration scheme needs a depth-0 tower")
-
-    def compress(beta: frozenset[int]) -> frozenset[int]:
-        later = max(beta, key=lambda pid: tower.key(0, (), pid))
-        return frozenset((later,))
-
-    @lru_cache(maxsize=RECONSTRUCT_CACHE_SIZE)
-    def reconstruct(t: frozenset[int]) -> frozenset[int]:
-        (kept,) = t
-        return tower.enumerate_below((), tower.key(0, (), kept))
-
-    return MonotoneScheme(1, compress, reconstruct, universe=tower.universe)
+    return tower_scheme(tower)
 
 
 def tower_scheme(tower: OrderTower) -> MonotoneScheme:
@@ -97,27 +87,25 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
     always inside the union.
     """
 
-    def extract(points: frozenset[int]) -> tuple[tuple[int, ...], set[int]]:
+    levels = range(tower.depth, 0, -1)
+
+    def keep(points: frozenset[int]) -> tuple[int, ...]:
+        """The extracted maxima in order, then the level-0 maximum of the rest."""
         context: tuple[int, ...] = ()
-        rest = set(points)
-        for level in range(tower.depth, 0, -1):
+        rest = points
+        for level in levels:
             top = max(rest, key=lambda pid: tower.key(level, context, pid))
-            rest.remove(top)
+            rest = rest - {top}
             context += (top,)
-        return context, rest
+        return (*context, max(rest, key=lambda pid: tower.key(0, context, pid)))
 
-    def compress(beta: frozenset[int]) -> frozenset[int]:
-        context, rest = extract(beta)
-        dropped = min(rest, key=lambda pid: tower.key(0, context, pid))
-        return beta - {dropped}
-
+    @lru_cache(maxsize=RECONSTRUCT_CACHE_SIZE)
     def reconstruct(t: frozenset[int]) -> frozenset[int]:
-        context, rest = extract(t)
-        (survivor,) = rest
-        below = tower.enumerate_below(context, tower.key(0, context, survivor))
-        return frozenset(t) | below
+        kept = keep(t)
+        context, survivor = kept[:-1], kept[-1]
+        return t | tower.enumerate_below(context, tower.key(0, context, survivor))
 
-    return MonotoneScheme(tower.depth + 1, compress, reconstruct, universe=tower.universe)
+    return MonotoneScheme(tower.depth + 1, keep, reconstruct, universe=tower.universe)
 
 
 def identity_eta_scheme(m: int = 1) -> MonotoneScheme:

@@ -6,7 +6,9 @@ breaking, the rational enumerations are generated by two unrelated
 methods (tree BFS and the floor recurrence), the decompression oracle
 walks every round in full with no cover stop, the compression oracle
 re-sorts the live set on every step, and the evaluation oracle runs each
-trial on Fractions with nothing reused across trials.
+trial on Fractions with nothing reused across trials. The enumeration
+oracle is the 2-to-1 scheme written on its own, without the tower
+construction's extraction loop or its reconstruction cache.
 """
 
 import random
@@ -109,6 +111,22 @@ def compress_per_step_sort(points, scheme):
         steps.append((beta, ejected))
         live.remove(ejected)
     return tuple(steps), frozenset(live)
+
+
+def enumeration_reference(tower):
+    """(compress, reconstruct) of the 2-to-1 scheme on a depth-0 tower:
+    compress keeps the later of two points in the tower's one order, and
+    reconstruct returns every point up to and including the kept one."""
+
+    def compress(beta):
+        later = max(beta, key=lambda pid: tower.key(0, (), pid))
+        return frozenset((later,))
+
+    def reconstruct(t):
+        (kept,) = t
+        return tower.enumerate_below((), tower.key(0, (), kept))
+
+    return compress, reconstruct
 
 
 def draw_sample_reference(dist, m, seed):

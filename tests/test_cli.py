@@ -186,6 +186,9 @@ class TestEvaluate:
             ({"confidence": 0}, "evaluate.confidence must be in (0, 1), got 0"),
             ({"m": [4, -1]}, "evaluate.m must be >= 0, got -1"),
             ({"trials": "many"}, "evaluate.trials must be an integer, got 'many'"),
+            ({"epsilon": ["5/4", "-1/2"]}, "evaluate.epsilon must be in (0, 1], got -1/2"),
+            ({"epsilon": ["1/4", "5/4"]}, "evaluate.epsilon must be in (0, 1], got 5/4"),
+            ({"epsilon": "0"}, "evaluate.epsilon must be in (0, 1], got 0/1"),
         ],
     )
     def test_bad_settings_exit_two_before_any_trial(self, tmp_path, monkeypatch, capsys,
@@ -428,6 +431,11 @@ class TestExitCodes:
                 id="descend-y-not-a-number",
             ),
             pytest.param(
+                "descend", {**NATURALS, "descend": {"x_size": 50, "y": [1, 1, 2, 3]}},
+                "descend.y must hold distinct ids, got [1, 1, 2, 3]",
+                id="descend-y-repeated-id",
+            ),
+            pytest.param(
                 "evaluate",
                 {
                     **NATURALS,
@@ -597,32 +605,55 @@ def read_all_outputs(directory: Path) -> dict[str, bytes]:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+# The shipped configs on the countable domain with the enumeration scheme.
+SHIPPED_ENUMERATION_CONFIGS = [
+    ("compress", "compress_demo.json"),
+    ("descend", "descend_enumeration.json"),
+    ("evaluate", "german_tank.json"),
+    ("verify", "verify_calkin_wilf.json"),
+]
+
+
+def runs_under_each_kind(tmp_path, monkeypatch, capsys, command, name, section, kinds):
+    """Exit code, stdout, stderr and output files of a shipped config run
+    once with `section.kind` set to each kind."""
+    config = json.loads((CONFIGS / name).read_text())
+    runs = []
+    for kind in kinds:
+        workdir = tmp_path / kind
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        config[section] = {"kind": kind}
+        write_config(workdir, config, name)
+        code = main([command, name, "--out", "out"])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err, read_all_outputs(workdir / "out")))
+    return runs
+
+
 class TestDomainAlias:
     """`calkin-wilf` names the countable domain that `naturals` names: a
     shipped config gives the same run under either kind."""
 
-    @pytest.mark.parametrize(
-        "command, name",
-        [
-            ("compress", "compress_demo.json"),
-            ("descend", "descend_enumeration.json"),
-            ("evaluate", "german_tank.json"),
-            ("verify", "verify_calkin_wilf.json"),
-        ],
-    )
+    @pytest.mark.parametrize("command, name", SHIPPED_ENUMERATION_CONFIGS)
     def test_shipped_config_runs_alike_under_both_kinds(self, tmp_path, monkeypatch, capsys,
                                                         command, name):
-        config = json.loads((CONFIGS / name).read_text())
-        runs = []
-        for kind in ("naturals", "calkin-wilf"):
-            workdir = tmp_path / kind
-            workdir.mkdir()
-            monkeypatch.chdir(workdir)
-            config["domain"] = {"kind": kind}
-            write_config(workdir, config, name)
-            code = main([command, name, "--out", "out"])
-            captured = capsys.readouterr()
-            runs.append((code, captured.out, captured.err, read_all_outputs(workdir / "out")))
+        runs = runs_under_each_kind(tmp_path, monkeypatch, capsys, command, name,
+                                    "domain", ("naturals", "calkin-wilf"))
+        assert runs[0] == runs[1]
+        assert runs[0][3]
+
+
+class TestSchemeAlias:
+    """`enumeration` is the depth-0 `tower` scheme: a shipped enumeration
+    config gives the same run under either kind."""
+
+    @pytest.mark.parametrize("command, name", SHIPPED_ENUMERATION_CONFIGS)
+    def test_shipped_config_runs_alike_under_both_kinds(self, tmp_path, monkeypatch, capsys,
+                                                        command, name):
+        assert json.loads((CONFIGS / name).read_text())["scheme"] == {"kind": "enumeration"}
+        runs = runs_under_each_kind(tmp_path, monkeypatch, capsys, command, name,
+                                    "scheme", ("enumeration", "tower"))
         assert runs[0] == runs[1]
         assert runs[0][3]
 

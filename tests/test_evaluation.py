@@ -153,6 +153,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="confidence must be in"):
             evaluate(tank_learner(), dist, 2, Fraction(1, 2), 10, seed=0, confidence=confidence)
 
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 2), Fraction(5, 4)])
+    def test_epsilon_is_checked_before_any_trial(self, monkeypatch, epsilon):
+        def no_draws(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(emx.evaluation, "draw_sample", no_draws)
+        dist = FiniteSupportDistribution.uniform([1, 2])
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\]"):
+            evaluate(tank_learner(), dist, 2, epsilon, 10, seed=0)
+
     def test_each_kernel_is_decompressed_once_per_call(self, monkeypatch):
         calls = []
         decompress = emx.evaluation.decompress_chain
@@ -202,11 +212,12 @@ def evaluation_cases(draw):
     else:
         learner, ids = EmxLearner(identity_eta_scheme(1), d=1, cap=cap), range(40)
     dist = draw(distributions(ids))
-    # epsilon at a boundary: 1 - epsilon is the mass of a prefix of the
-    # support, which is what the enumeration learner captures
-    prefix = draw(st.integers(0, len(dist.support)))
+    # epsilon at a boundary: 1 - epsilon is the mass of a proper prefix of
+    # the support, which is what the enumeration learner captures, so
+    # epsilon stays in (0, 1]
+    prefix = draw(st.integers(0, len(dist.support) - 1))
     boundary = 1 - sum((dist.mass(pid) for pid in dist.support[:prefix]), Fraction(0))
-    epsilon = draw(st.sampled_from([boundary, Fraction(0), Fraction(1, 4), Fraction(1)]))
+    epsilon = draw(st.sampled_from([boundary, Fraction(1, 4), Fraction(1)]))
     m = draw(st.integers(0, 12))
     trials = draw(st.integers(1, 25))
     seed = draw(st.integers(0, 2**64 - 1))

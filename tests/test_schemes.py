@@ -17,6 +17,7 @@ from emx.schemes import (
     verify_soundness,
 )
 from emx.towers import OrderTower, enumerated_tower, finite_proxy_tower
+from oracles import enumeration_reference
 
 
 def naturals_scheme():
@@ -57,20 +58,54 @@ class TestEnumerationScheme:
             assert scheme.eta({lo}) <= scheme.eta({hi})
 
     def test_reconstruction_cache_is_bounded(self):
-        calls = []
+        # a depth-0 and a depth-1 stub tower keyed by id: the survivor of
+        # kernel(k) is k, which below() records before it is cached
+        for build, depth in ((enumeration_scheme, 0), (tower_scheme, 1)):
+            calls = []
 
-        def below(context, bound):
-            calls.append(bound)
-            return frozenset({bound})
+            def below(context, bound):
+                calls.append(bound)
+                return frozenset({bound})
 
-        scheme = enumeration_scheme(OrderTower(0, lambda level, context, pid: pid, below))
-        for _ in range(2):
-            for k in range(RECONSTRUCT_CACHE_SIZE):
-                scheme.eta({k})
-        assert len(calls) == RECONSTRUCT_CACHE_SIZE  # the second pass hit every entry
-        scheme.eta({RECONSTRUCT_CACHE_SIZE})
-        assert scheme.eta({0}) == frozenset({0})
-        assert len(calls) == RECONSTRUCT_CACHE_SIZE + 2  # {0} was evicted and rebuilt
+            def kernel(k):
+                return frozenset({k, k + RECONSTRUCT_CACHE_SIZE + 1} if depth else {k})
+
+            scheme = build(OrderTower(depth, lambda level, context, pid: pid, below))
+            for _ in range(2):
+                for k in range(RECONSTRUCT_CACHE_SIZE):
+                    scheme.eta(kernel(k))
+            assert len(calls) == RECONSTRUCT_CACHE_SIZE  # the second pass hit every entry
+            scheme.eta(kernel(RECONSTRUCT_CACHE_SIZE))
+            assert scheme.eta(kernel(0)) == kernel(0)
+            assert len(calls) == RECONSTRUCT_CACHE_SIZE + 2  # kernel(0) was evicted and rebuilt
+
+
+class TestEnumerationReference:
+    """The enumeration scheme, built as the depth-0 tower scheme, agrees
+    with the 2-to-1 scheme written on its own."""
+
+    @staticmethod
+    def assert_matches_reference(tower, pair, kept):
+        scheme = enumeration_scheme(tower)
+        compress, reconstruct = enumeration_reference(tower)
+        beta = frozenset(pair)
+        assert scheme.sigma(beta) == compress(beta)
+        for t in (scheme.sigma(beta), frozenset({kept}), frozenset({kept})):  # miss, then hit
+            assert scheme.eta(t) == reconstruct(t)
+
+    @pytest.mark.parametrize("domain", [naturals_domain, calkin_wilf_domain])
+    @given(st.sets(st.integers(0, 2000), min_size=2, max_size=2), st.integers(0, 2000))
+    @settings(max_examples=60)
+    def test_countable_domains(self, domain, pair, kept):
+        self.assert_matches_reference(enumerated_tower(domain()), pair, kept)
+
+    @given(st.data(), st.integers(2, 60), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_depth0_proxy_towers(self, data, n, seed):
+        tower = finite_proxy_tower(FiniteDomain(size=n), 0, seed)
+        pair = data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2))
+        kept = data.draw(st.integers(0, n - 1))
+        self.assert_matches_reference(tower, pair, kept)
 
 
 def stub_tower(depth, level_keys):

@@ -3,17 +3,107 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import emx
+
+ROOT = Path(emx.__file__).resolve().parent
+
+
+def package_trees():
+    for path in sorted(ROOT.rglob("*.py")):
+        yield path.relative_to(ROOT), ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_no_assert_statements():
     """Invariants are explicit checks, because `python -O` strips every
     assert statement."""
-    root = Path(emx.__file__).resolve().parent
     found = [
-        f"{path.relative_to(root)}:{node.lineno}"
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of a module that use `functools.cache`, or `lru_cache` without
+    a maxsize that is a positive integer literal or a module-level name
+    bound to one."""
+    sizes = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def finite(expr: ast.expr) -> bool:
+        if isinstance(expr, ast.Name):
+            value = sizes.get(expr.id)
+        else:
+            value = expr.value if isinstance(expr, ast.Constant) else None
+        return type(value) is int and value > 0
+
+    # the functools name behind each imported name, and the names functools
+    # itself is imported under
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    bounded = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for maxsize in ([k.value for k in node.keywords if k.arg == "maxsize"] + node.args)[:1]
+        if finite(maxsize)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = imported.get(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            name = node.attr
+        else:
+            continue
+        if name == "cache" or (name == "lru_cache" and id(node) not in bounded):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_every_cache_has_a_bound():
+    """Caches have bounds: no `functools.cache`, and every `lru_cache`
+    states a finite maxsize."""
+    found = [
+        f"{name}:{line}" for name, tree in package_trees() for line in unbounded_caches(tree)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from functools import lru_cache\nSIZE = 8\n@lru_cache(maxsize=SIZE)\ndef f(x): ...", []),
+        ("import functools\n@functools.lru_cache(16)\ndef f(x): ...", []),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): ...", [2]),
+        ("from functools import lru_cache\n@lru_cache\ndef f(x): ...", [2]),
+        ("from functools import lru_cache\n@lru_cache(typed=True)\ndef f(x): ...", [2]),
+        ("from functools import lru_cache\nSIZE = None\n@lru_cache(SIZE)\ndef f(x): ...", [3]),
+        ("from functools import cache\n@cache\ndef f(x): ...", [2]),
+        ("import functools as ft\n@ft.cache\ndef f(x): ...", [2]),
+        ("from functools import lru_cache as memo\n@memo(maxsize=0)\ndef f(x): ...", [2]),
+        ("cache = {}\ncache[1] = 2", []),
+    ],
+)
+def test_unbounded_cache_rule(source, lines):
+    assert unbounded_caches(ast.parse(source)) == lines
