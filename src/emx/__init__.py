@@ -44,8 +44,6 @@ from .core import (
     Domain,
     FiniteDomain,
     FiniteSupportDistribution,
-    Hypothesis,
-    Sample,
     draw_sample,
     emx_gap,
     erm_max_coverage,
@@ -80,14 +78,12 @@ __all__ = [
     "ExperimentConfig",
     "FiniteDomain",
     "FiniteSupportDistribution",
-    "Hypothesis",
     "MonotoneScheme",
     "OrderTower",
     "PlanePoint",
     "Rectangle",
     "ReductionWitness",
     "ResourceLimitError",
-    "Sample",
     "SchemeError",
     "SearchProblem",
     "SearchResult",

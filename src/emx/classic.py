@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Hypothesis
-
 
 @dataclass(frozen=True, order=True)
 class PlanePoint:
@@ -75,7 +73,7 @@ def rect_reconstruct(kernel: Iterable[PlanePoint]) -> Rectangle:
     )
 
 
-def max_estimator(sample: Iterable[int]) -> Hypothesis:
+def max_estimator(sample: Iterable[int]) -> frozenset[int]:
     """Guess every serial number up to the largest seen: the one-point
     compression learner for counting from uniform serial draws."""
     values = list(sample)
@@ -83,7 +81,7 @@ def max_estimator(sample: Iterable[int]) -> Hypothesis:
         raise ValueError("sample must be non-empty")
     if min(values) < 1:
         raise ValueError("serial numbers start at 1")
-    return Hypothesis.of(range(1, max(values) + 1))
+    return frozenset(range(1, max(values) + 1))
 
 
 def load_plane_csv(path: str) -> list[PlanePoint]:

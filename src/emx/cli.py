@@ -88,11 +88,15 @@ def cmd_evaluate(args) -> int:
     dist = cfg.build_distribution()
 
     m_values = sorted(cfg.field("evaluate", "m", []))
-    if not m_values:
-        raise ConfigError(f"{cfg.path}: evaluate.m is required")
     epsilons = sorted(cfg.field("evaluate", "epsilon", []))
-    if not epsilons:
-        raise ConfigError(f"{cfg.path}: evaluate.epsilon is required")
+    for name, values in (("m", m_values), ("epsilon", epsilons)):
+        if not values:
+            raise ConfigError(f"{cfg.path}: evaluate.{name} is required")
+        repeated = [a for a, b in zip(values, values[1:]) if a == b]
+        if repeated:  # the same cell would run twice
+            raise ConfigError(
+                f"{cfg.path}: evaluate.{name} must hold distinct values, got {repeated[0]} twice"
+            )
     bad = [format_rational(eps) for eps in epsilons if not 0 < eps <= 1]
     if bad:
         raise ConfigError(f"{cfg.path}: evaluate.epsilon must be in (0, 1], got {bad[0]}")

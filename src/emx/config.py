@@ -140,19 +140,41 @@ class ExperimentConfig:
         raise ConfigError(f"{self.path}: unknown scheme kind {kind!r}")
 
     def build_distribution(self) -> FiniteSupportDistribution:
+        """The configured distribution, after the domain its support must
+        lie in; each point id is named once."""
+        size = self.build_domain().size
         kind = self.field("distribution", "kind")
         if kind == "uniform-range":
             lo, hi = self.field("distribution", "lo"), self.field("distribution", "hi")
             if hi < lo:
                 raise ConfigError(f"{self.path}: distribution range is empty")
-            return FiniteSupportDistribution.uniform(range(lo, hi + 1))
-        if kind == "explicit":
-            masses = {int(pid): mass for pid, mass in self.field("distribution", "masses").items()}
+            dist = FiniteSupportDistribution.uniform(range(lo, hi + 1))
+        elif kind == "explicit":
+            masses = {}
+            for key, mass in self.field("distribution", "masses").items():
+                try:
+                    point_id = int(key)
+                except ValueError:
+                    raise ConfigError(
+                        f"{self.path}: distribution.masses key {key!r} is not a point id"
+                    ) from None
+                if point_id in masses:
+                    raise ConfigError(
+                        f"{self.path}: distribution.masses names point {point_id} twice"
+                    )
+                masses[point_id] = mass
             try:
-                return FiniteSupportDistribution(masses)
+                dist = FiniteSupportDistribution(masses)
             except ValueError as err:
                 raise ConfigError(f"{self.path}: {err}") from None
-        raise ConfigError(f"{self.path}: unknown distribution kind {kind!r}")
+        else:
+            raise ConfigError(f"{self.path}: unknown distribution kind {kind!r}")
+        outside = [pid for pid in dist.support if pid < 0 or size is not None and pid >= size]
+        if outside:
+            raise ConfigError(
+                f"{self.path}: distribution puts mass on point {outside[0]}, outside the domain"
+            )
+        return dist
 
     def build_learner(self, scheme: MonotoneScheme, cap_override: int | None = None) -> EmxLearner:
         if cap_override is not None:

@@ -1,9 +1,15 @@
-"""Domains of point ids, exact finite-support distributions, hypotheses,
-sampling, and the max-coverage training baseline.
+"""Domains of point ids, exact finite-support distributions, sampling,
+captured mass, and the max-coverage training baseline.
 
-All probability arithmetic is exact: fractions.Fraction, or integer
-weights over one common denominator. Floats appear only in Monte Carlo
-summaries downstream. Every value here is immutable after construction.
+A hypothesis is a finite set of point ids, read as the indicator of the
+points labeled 1: any set of ids is accepted, and learners return
+frozensets. A sample is the tuple of its draws, repeats allowed. A
+distribution keeps its masses in one integer form, weights over their
+common denominator.
+
+All probability arithmetic is exact: integer weights, or Fractions built
+from them. Floats appear only in Monte Carlo summaries downstream. Every
+value here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -48,31 +54,6 @@ def naturals_domain() -> CountableDomain:
     return CountableDomain()
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """A finite set of point ids, read as the indicator of the points
-    labeled 1. Everything outside is labeled 0."""
-
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, ids: Iterable[int]) -> "Hypothesis":
-        return cls(frozenset(ids))
-
-    @classmethod
-    def empty(cls) -> "Hypothesis":
-        return cls(frozenset())
-
-    def __contains__(self, point_id: int) -> bool:
-        return point_id in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-
 class FiniteSupportDistribution:
     """Exact rational probability masses on finitely many point ids.
 
@@ -93,16 +74,16 @@ class FiniteSupportDistribution:
         total = sum(cleaned.values())
         if total != 1:
             raise ValueError(f"masses must sum to exactly 1, got {total}")
-        self._masses = dict(sorted(cleaned.items()))
-        self._support = tuple(self._masses)
-        # Integer form, fixed once: mass(support[i]) = weights[i] / D, and
-        # bounds[i] = weights[0] + ... + weights[i] is the sampler's CDF.
-        self._denominator = lcm(*(mass.denominator for mass in self._masses.values()))
-        self._weights = tuple(
-            mass.numerator * (self._denominator // mass.denominator)
-            for mass in self._masses.values()
-        )
-        self._bounds = tuple(accumulate(self._weights))
+        # The one stored form, fixed once: mass(i) = weights[i] / D in id
+        # order, with D the least common denominator, so D is the sum of the
+        # weights; bounds holds the running sums, the sampler's CDF.
+        denom = lcm(*(mass.denominator for mass in cleaned.values()))
+        self._weights = {
+            pid: mass.numerator * (denom // mass.denominator)
+            for pid, mass in sorted(cleaned.items())
+        }
+        self._support = tuple(self._weights)
+        self._bounds = tuple(accumulate(self._weights.values()))
 
     @classmethod
     def uniform(cls, ids: Iterable[int]) -> "FiniteSupportDistribution":
@@ -122,35 +103,37 @@ class FiniteSupportDistribution:
     @property
     def denominator(self) -> int:
         """D, the least common denominator of the masses."""
-        return self._denominator
+        return self._bounds[-1]
 
     def mass(self, point_id: int) -> Fraction:
-        return self._masses.get(point_id, Fraction(0))
+        return Fraction(self._weights.get(point_id, 0), self._bounds[-1])
 
     def captured_weight(self, members: Container[int]) -> int:
         """Mass of the support points in members, times D: an exact integer."""
-        return sum(w for pid, w in zip(self._support, self._weights) if pid in members)
+        return sum(w for pid, w in self._weights.items() if pid in members)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self._masses.items())
+        """(id, mass) pairs in id order."""
+        denom = self._bounds[-1]
+        return ((pid, Fraction(w, denom)) for pid, w in self._weights.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSupportDistribution):
             return NotImplemented
-        return self._masses == other._masses
+        return self._weights == other._weights  # D is their sum
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{i}: {m}" for i, m in self._masses.items())
+        inner = ", ".join(f"{i}: {m}" for i, m in self.items())
         return f"FiniteSupportDistribution({{{inner}}})"
 
 
-def expectation(dist: FiniteSupportDistribution, hypothesis: Hypothesis) -> Fraction:
+def expectation(dist: FiniteSupportDistribution, hypothesis: Container[int]) -> Fraction:
     """Mass the hypothesis captures: the exact sum of masses of covered
     support points."""
-    return Fraction(dist.captured_weight(hypothesis.members), dist.denominator)
+    return Fraction(dist.captured_weight(hypothesis), dist.denominator)
 
 
-def emx_gap(dist: FiniteSupportDistribution, hypothesis: Hypothesis) -> Fraction:
+def emx_gap(dist: FiniteSupportDistribution, hypothesis: Container[int]) -> Fraction:
     """Shortfall against the best hypothesis.
 
     The support itself is a finite set, hence a hypothesis, so the best
@@ -159,23 +142,9 @@ def emx_gap(dist: FiniteSupportDistribution, hypothesis: Hypothesis) -> Fraction
     return Fraction(1) - expectation(dist, hypothesis)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """An ordered i.i.d. draw of point ids (repeats allowed) plus the seed
-    that produced it; (distribution, size, seed) regenerate it exactly."""
-
-    points: tuple[int, ...]
-    seed: int
-
-    def distinct(self) -> frozenset[int]:
-        return frozenset(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> Sample:
-    """Draw m points i.i.d. from the distribution, deterministically.
+def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> tuple[int, ...]:
+    """Draw m point ids i.i.d. from the distribution, in draw order with
+    repeats; (distribution, m, seed) regenerate the draws exactly.
 
     Inverse-CDF convention: support ids ascending, intervals half-open.
     With D the least common denominator of the masses, each draw picks
@@ -187,19 +156,21 @@ def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> Sample:
         raise ValueError("sample size must be >= 0")
     support, bounds, denom = dist.support, dist._bounds, dist.denominator
     randrange = random.Random(seed).randrange
-    draws = tuple(support[bisect_right(bounds, randrange(denom))] for _ in range(m))
-    return Sample(draws, seed)
+    return tuple(support[bisect_right(bounds, randrange(denom))] for _ in range(m))
 
 
-def erm_max_coverage(sample: Sample, candidates: Sequence[Hypothesis]) -> Hypothesis:
-    """The candidate covering the most sample entries, counted with
-    multiplicity; ties go to the earliest candidate in the list."""
+def erm_max_coverage(
+    draws: Sequence[int], candidates: Sequence[frozenset[int]]
+) -> frozenset[int]:
+    """The candidate covering the most draws, counted with multiplicity;
+    ties go to the earliest candidate in the list, which is returned
+    itself."""
     if not candidates:
         raise ValueError("need at least one candidate hypothesis")
     best = candidates[0]
     best_count = -1
     for candidate in candidates:
-        count = sum(1 for point_id in sample.points if point_id in candidate)
+        count = sum(1 for point_id in draws if point_id in candidate)
         if count > best_count:
             best, best_count = candidate, count
     return best

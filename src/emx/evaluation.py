@@ -13,15 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .chains import DEFAULT_CAP, ResourceLimitError, compress_chain, decompress_chain
-from .core import (  # noqa: F401  expectation: perfbench/tracer.py wraps it under this name
-    FiniteSupportDistribution,
-    Hypothesis,
-    Sample,
-    draw_sample,
-    expectation,
-)
+from .core import FiniteSupportDistribution, draw_sample
+from .core import expectation  # noqa: F401  perfbench/tracer.py wraps it under this name
 from .schemes import MonotoneScheme, SchemeError
 from .seeds import split_seed
 
@@ -52,19 +48,19 @@ def _compress_sample(
     return compress_chain(distinct, learner.scheme).kernel, len(distinct) - learner.d
 
 
-def apply_learner(learner: EmxLearner, sample: Sample) -> Hypothesis:
-    """Hypothesis for one sample; always finite.
+def apply_learner(learner: EmxLearner, draws: Iterable[int]) -> frozenset[int]:
+    """Hypothesis for one sample's draws; always finite.
 
-    A sample with fewer than d distinct points is returned as-is (proper
-    and sound). Reconstruction-cap overruns propagate as
+    A sample with fewer than d distinct points is returned as its set of
+    points (proper and sound). Reconstruction-cap overruns propagate as
     ResourceLimitError.
     """
-    distinct = sample.distinct()
+    distinct = frozenset(draws)
     compressed = _compress_sample(learner, distinct)
     if compressed is None:
-        return Hypothesis(distinct)
+        return distinct
     kernel, rounds = compressed
-    return Hypothesis(decompress_chain(kernel, learner.scheme, rounds, learner.cap))
+    return decompress_chain(kernel, learner.scheme, rounds, learner.cap)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def evaluate(
 
     def run(index: int) -> TrialRecord:
         child = split_seed(seed, index)
-        distinct = draw_sample(dist, m, child).distinct()
+        distinct = frozenset(draw_sample(dist, m, child))
         floor = dist.captured_weight(distinct)
         compressed = _compress_sample(learner, distinct)
         if compressed is None:

@@ -72,6 +72,25 @@ def run_cli_process(argv):
     )
 
 
+def exits_two_before_any_trial(cfg, out, monkeypatch, capsys, message):
+    """`emx evaluate` on cfg exits 2 with one `config error:` line holding
+    message, in process and in a fresh interpreter, without running a trial
+    or creating out."""
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("evaluate ran on an invalid config")
+
+    monkeypatch.setattr(emx.cli, "evaluate", no_trials)
+    assert main(["evaluate", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    run = run_cli_process(["evaluate", cfg, "--out", out])
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("config error: ")
+    assert run.stderr.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 class TestVerify:
     def test_enumeration_over_rationals_is_sound(self, tmp_path, capsys):
         cfg = cw_verify_config(tmp_path)
@@ -189,25 +208,51 @@ class TestEvaluate:
             ({"epsilon": ["5/4", "-1/2"]}, "evaluate.epsilon must be in (0, 1], got -1/2"),
             ({"epsilon": ["1/4", "5/4"]}, "evaluate.epsilon must be in (0, 1], got 5/4"),
             ({"epsilon": "0"}, "evaluate.epsilon must be in (0, 1], got 0/1"),
+            ({"m": [4, 4]}, "evaluate.m must hold distinct values, got 4 twice"),
+            ({"epsilon": ["1/4", "2/8"]}, "evaluate.epsilon must hold distinct values, got 1/4 twice"),
+            ({"m": [4, 4], "epsilon": ["1/4", "2/8"]},
+             "evaluate.m must hold distinct values, got 4 twice"),
         ],
     )
     def test_bad_settings_exit_two_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                                     setting, message):
         cfg = tank_eval_config(tmp_path, **setting)
-        out = str(tmp_path / "out")
+        exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys, message)
 
-        def no_trials(*args, **kwargs):
-            raise AssertionError("evaluate ran on an invalid config")
-
-        monkeypatch.setattr(emx.cli, "evaluate", no_trials)
-        assert main(["evaluate", cfg, "--out", out]) == 2
-        assert message in capsys.readouterr().err
-        run = run_cli_process(["evaluate", cfg, "--out", out])
-        assert run.returncode == 2
-        assert "Traceback" not in run.stderr
-        assert run.stderr.startswith("config error: ")
-        assert run.stderr.count("\n") == 1
-        assert not os.path.exists(out)
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            pytest.param(
+                {"distribution": {"kind": "explicit",
+                                  "masses": {"1": "1/2", "01": "1/2", "2": "1/2"}}},
+                "distribution.masses names point 1 twice",
+                id="mass-keys-name-one-id-twice",
+            ),
+            pytest.param(
+                {"domain": {"kind": "finite", "size": 10}, "tower": {"depth": 0, "seed": 1},
+                 "scheme": {"kind": "tower"}},
+                "distribution puts mass on point 10, outside the domain",
+                id="uniform-range-beyond-finite-domain",
+            ),
+            pytest.param(
+                {"domain": {"kind": "finite", "size": 10}, "tower": {"depth": 0, "seed": 1},
+                 "scheme": {"kind": "tower"},
+                 "evaluate": {"m": [0], "epsilon": ["1/4"], "trials": 5}},
+                "distribution puts mass on point 10, outside the domain",
+                id="uniform-range-beyond-finite-domain-m-0",
+            ),
+            pytest.param(
+                {"distribution": {"kind": "explicit", "masses": {"-1": "1/2", "3": "1/2"}}},
+                "distribution puts mass on point -1, outside the domain",
+                id="negative-id-on-naturals",
+            ),
+        ],
+    )
+    def test_bad_distribution_exits_two_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                         sections, message):
+        cfg = json.loads(Path(tank_eval_config(tmp_path)).read_text())
+        cfg = write_config(tmp_path, {**cfg, **sections})
+        exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys, message)
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_override_below_one_exits_two(self, tmp_path, monkeypatch, capsys, cap):

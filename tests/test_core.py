@@ -8,8 +8,6 @@ from emx.calkin_wilf import calkin_wilf_domain
 from emx.core import (
     FiniteDomain,
     FiniteSupportDistribution,
-    Hypothesis,
-    Sample,
     draw_sample,
     emx_gap,
     erm_max_coverage,
@@ -18,20 +16,24 @@ from emx.core import (
 )
 
 # the ad table: people 1..4, ad_1 = {1,4}, ad_2 = {2,3,4}, ad_3 = {2,3}
-AD_1 = Hypothesis.of({1, 4})
-AD_2 = Hypothesis.of({2, 3, 4})
-AD_3 = Hypothesis.of({2, 3})
+AD_1 = frozenset({1, 4})
+AD_2 = frozenset({2, 3, 4})
+AD_3 = frozenset({2, 3})
 
 
 @st.composite
-def distributions(draw, max_support=6):
+def mass_maps(draw, max_support=6):
+    """Positive Fraction masses summing to 1 on up to max_support ids in
+    0..40, in the order the ids were drawn."""
     n = draw(st.integers(1, max_support))
     ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
     weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
     total = sum(weights)
-    return FiniteSupportDistribution(
-        {i: Fraction(w, total) for i, w in zip(ids, weights)}
-    )
+    return {i: Fraction(w, total) for i, w in zip(ids, weights)}
+
+
+def distributions(max_support=6):
+    return mass_maps(max_support).map(FiniteSupportDistribution)
 
 
 class TestPointsAndDomains:
@@ -74,11 +76,25 @@ class TestDistribution:
         pm = FiniteSupportDistribution.point_mass(7)
         assert pm.mass(7) == 1
 
+    @given(mass_maps(), mass_maps(), st.data())
+    def test_integer_form_keeps_the_masses(self, masses, other, data):
+        # oracle: the Fraction masses the distribution was built from
+        d = FiniteSupportDistribution(masses)
+        in_order = sorted(masses.items())
+        assert list(d.items()) == in_order
+        assert all(d.mass(i) == masses.get(i, 0) for i in range(-1, 42))
+        assert d.denominator == math.lcm(*(m.denominator for m in masses.values()))
+        shuffled = data.draw(st.permutations(list(masses.items())))
+        assert FiniteSupportDistribution(dict(shuffled)) == d
+        assert (FiniteSupportDistribution(other) == d) == (other == masses)
+        inner = ", ".join(f"{i}: {m}" for i, m in in_order)
+        assert repr(d) == f"FiniteSupportDistribution({{{inner}}})"
+
 
 class TestExpectation:
     def test_full_support_cover(self):
         d = FiniteSupportDistribution.uniform([2, 3, 4])
-        assert expectation(d, Hypothesis.of({2, 3, 4})) == 1
+        assert expectation(d, frozenset({2, 3, 4})) == 1
 
     def test_ad_table_ad1(self):
         d = FiniteSupportDistribution.uniform([1, 2, 3, 4])
@@ -86,7 +102,7 @@ class TestExpectation:
 
     def test_empty_hypothesis(self):
         d = FiniteSupportDistribution.uniform([5, 6])
-        assert expectation(d, Hypothesis.empty()) == 0
+        assert expectation(d, frozenset()) == 0
 
     def test_gap_ad2(self):
         d = FiniteSupportDistribution.uniform([1, 2, 3, 4])
@@ -94,21 +110,21 @@ class TestExpectation:
 
     def test_gap_zero_when_support_covered(self):
         d = FiniteSupportDistribution.uniform([1, 2, 3])
-        assert emx_gap(d, Hypothesis.of({1, 2, 3, 9})) == 0
+        assert emx_gap(d, frozenset({1, 2, 3, 9})) == 0
 
     def test_gap_on_naturals_prefix(self):
         d = FiniteSupportDistribution.uniform(range(1, 21))
-        assert emx_gap(d, Hypothesis.of(range(1, 16))) == Fraction(1, 4)
+        assert emx_gap(d, frozenset(range(1, 16))) == Fraction(1, 4)
 
     @given(distributions(), st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
     def test_expectation_monotone(self, d, small, extra):
-        inner = Hypothesis.of(small)
-        outer = Hypothesis.of(small | extra)
+        inner = frozenset(small)
+        outer = frozenset(small | extra)
         assert expectation(d, inner) <= expectation(d, outer)
 
     @given(distributions(), st.sets(st.integers(0, 40)))
     def test_gap_range_and_zero_iff_cover(self, d, ids):
-        h = Hypothesis.of(ids)
+        h = frozenset(ids)
         gap = emx_gap(d, h)
         assert 0 <= gap <= 1
         assert (gap == 0) == set(d.support).issubset(ids)
@@ -117,16 +133,16 @@ class TestExpectation:
 class TestSampling:
     def test_zero_draws(self):
         d = FiniteSupportDistribution.uniform([1, 2])
-        assert draw_sample(d, 0, 5).points == ()
+        assert draw_sample(d, 0, 5) == ()
 
     def test_point_mass_always_draws_the_point(self):
         d = FiniteSupportDistribution.point_mass(9)
-        assert draw_sample(d, 7, 123).points == (9,) * 7
+        assert draw_sample(d, 7, 123) == (9,) * 7
 
     def test_golden_sequence(self):
         # frozen after the first run; reruns must reproduce it bit-identically
         d = FiniteSupportDistribution.uniform(range(1, 21))
-        assert draw_sample(d, 10, 42).points == (4, 1, 9, 8, 8, 5, 4, 18, 3, 19)
+        assert draw_sample(d, 10, 42) == (4, 1, 9, 8, 8, 5, 4, 18, 3, 19)
 
     @given(st.integers(0, 2**64), st.integers(0, 30))
     def test_reproducible(self, seed, m):
@@ -138,7 +154,7 @@ class TestSampling:
         n = 100_000
         sample = draw_sample(d, n, 2024)
         counts = {pid: 0 for pid in d.support}
-        for pid in sample.points:
+        for pid in sample:
             counts[pid] += 1
         for pid, mass in d.items():
             p = float(mass)
@@ -148,33 +164,33 @@ class TestSampling:
     def test_samples_stay_in_support(self):
         d = FiniteSupportDistribution({3: Fraction(2, 5), 8: Fraction(3, 5)})
         sample = draw_sample(d, 200, 7)
-        assert sample.distinct() <= {3, 8}
+        assert frozenset(sample) <= {3, 8}
 
 
 class TestErm:
     def test_ad_table_training_multiset(self):
-        sample = Sample((2, 3, 3, 4), seed=0)
+        sample = (2, 3, 3, 4)
         assert erm_max_coverage(sample, [AD_1, AD_2, AD_3]) is AD_2
 
     def test_single_visitor_prefers_ad1(self):
-        sample = Sample((1,), seed=0)
+        sample = (1,)
         assert erm_max_coverage(sample, [AD_1, AD_2, AD_3]) is AD_1
 
     def test_all_zero_coverage_takes_first(self):
-        sample = Sample((99,), seed=0)
+        sample = (99,)
         assert erm_max_coverage(sample, [AD_1, AD_2, AD_3]) is AD_1
 
     def test_rejects_empty_candidates(self):
         with pytest.raises(ValueError):
-            erm_max_coverage(Sample((1,), seed=0), [])
+            erm_max_coverage((1,), [])
 
     @given(
         st.lists(st.integers(0, 6), min_size=1, max_size=8),
         st.lists(st.sets(st.integers(0, 6)), min_size=1, max_size=5),
     )
     def test_output_coverage_is_maximal(self, points, candidate_sets):
-        sample = Sample(tuple(points), seed=0)
-        candidates = [Hypothesis.of(s) for s in candidate_sets]
+        sample = tuple(points)
+        candidates = [frozenset(s) for s in candidate_sets]
         chosen = erm_max_coverage(sample, candidates)
         best = max(sum(1 for p in points if p in c) for c in candidates)
         assert sum(1 for p in points if p in chosen) == best

@@ -107,3 +107,65 @@ def test_every_cache_has_a_bound():
 )
 def test_unbounded_cache_rule(source, lines):
     assert unbounded_caches(ast.parse(source)) == lines
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name a module imports and never reads, leaving
+    out `from __future__` imports, names listed in `__all__` and imports on
+    a line marked `noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = {
+        item.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for item in getattr(node.value, "elts", [])
+        if isinstance(item, ast.Constant)
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and name not in exported:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import os\n", [(1, "os")]),
+        ("import os\nos.getcwd()", []),
+        ("from __future__ import annotations\n", []),
+        ("from .core import A, B\nA()", [(1, "B")]),
+        ("from .core import (\n    A,\n    B,\n)\nB()", [(1, "A")]),
+        ("from x import y  # noqa: F401  re-exported\n", []),
+        ("from x import y\n__all__ = ['y']", []),
+        ("import a.b\na.b.c()", []),
+        ("from x import y as z\ny()", [(1, "z")]),
+        ("from x import y\ny = 1", [(1, "y")]),
+        ("import typing\ndef f() -> typing.Any: ...", []),
+        ("def f():\n    import json\n    return 1", [(2, "json")]),
+    ],
+)
+def test_unused_import_rule(source, found):
+    assert unused_imports(source) == found
