@@ -84,7 +84,7 @@ def cmd_verify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    learner = cfg.build_learner(cfg.build_scheme(), cap_override=args.cap)
+    learner = cfg.build_learner(cfg.build_scheme())
     dist = cfg.build_distribution()
 
     m_values = sorted(cfg.field("evaluate", "m", []))
@@ -101,7 +101,7 @@ def cmd_evaluate(args) -> int:
     if bad:
         raise ConfigError(f"{cfg.path}: evaluate.epsilon must be in (0, 1], got {bad[0]}")
     trials = cfg.field("evaluate", "trials", 1000)
-    seed = args.seed if args.seed is not None else cfg.field("evaluate", "seed", 0)
+    seed = cfg.field("evaluate", "seed", 0)
     confidence = cfg.field("evaluate", "confidence", 0.99)
     per_trial = cfg.field("evaluate", "per_trial", False)
 
@@ -230,6 +230,8 @@ def cmd_compress(args) -> int:
     points = cfg.field("compress", "points", [])
     if not points:
         raise ConfigError(f"{cfg.path}: compress.points is required")
+    if len(set(points)) < len(points):
+        raise ConfigError(f"{cfg.path}: compress.points must hold distinct ids, got {points}")
     trace = compress_chain(points, scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "trace.txt"), trace_to_text(trace))
@@ -255,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="Monte Carlo failure-rate measurement")
     add_common(p_eval)
-    p_eval.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_eval.add_argument("--cap", type=int, default=None, help="override the reconstruction cap")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_search = sub.add_parser("search", help="existence search for bounded schemes")

@@ -141,7 +141,7 @@ class ExperimentConfig:
 
     def build_distribution(self) -> FiniteSupportDistribution:
         """The configured distribution, after the domain its support must
-        lie in; each point id is named once."""
+        lie in; a mass key is a point id in canonical decimal form."""
         size = self.build_domain().size
         kind = self.field("distribution", "kind")
         if kind == "uniform-range":
@@ -153,16 +153,14 @@ class ExperimentConfig:
             masses = {}
             for key, mass in self.field("distribution", "masses").items():
                 try:
-                    point_id = int(key)
+                    canonical = str(int(key)) == key
                 except ValueError:
+                    canonical = False
+                if not canonical:  # so that no two keys name one id
                     raise ConfigError(
                         f"{self.path}: distribution.masses key {key!r} is not a point id"
-                    ) from None
-                if point_id in masses:
-                    raise ConfigError(
-                        f"{self.path}: distribution.masses names point {point_id} twice"
                     )
-                masses[point_id] = mass
+                masses[int(key)] = mass
             try:
                 dist = FiniteSupportDistribution(masses)
             except ValueError as err:
@@ -176,21 +174,28 @@ class ExperimentConfig:
             )
         return dist
 
-    def build_learner(self, scheme: MonotoneScheme, cap_override: int | None = None) -> EmxLearner:
-        if cap_override is not None:
-            cap = _check_field("--cap", *FIELDS["learner"]["cap"], cap_override)
-        else:
-            cap = self.field("learner", "cap", DEFAULT_CAP) if "learner" in self.values else DEFAULT_CAP
+    def build_learner(self, scheme: MonotoneScheme) -> EmxLearner:
+        cap = self.field("learner", "cap", DEFAULT_CAP) if "learner" in self.values else DEFAULT_CAP
         return EmxLearner(scheme, scheme.m, cap)
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a config file and check every field against FIELDS: unknown
     sections and fields, wrong JSON types and values below a minimum are
-    ConfigErrors naming the field. JSON errors carry line and column."""
+    ConfigErrors naming the field, and so is a key repeated in one JSON
+    object. JSON errors carry line and column."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} appears twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from None
     except json.JSONDecodeError as err:

@@ -127,39 +127,22 @@ def identity_eta_scheme(m: int = 1) -> MonotoneScheme:
 class SoundnessReport:
     checked: int
     violations: tuple[frozenset[int], ...]
-    malformed: tuple[tuple[int, ...], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.malformed
-
-
-def _canonical(subset: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(subset))
+        return not self.violations
 
 
 def verify_soundness(
     scheme: MonotoneScheme,
     subsets: Iterable[Iterable[int]],
 ) -> SoundnessReport:
-    """Recheck the containment contract on every given subset.
-
-    Wrong-size subsets are recorded as malformed instead of aborting.
-    Violations and malformed subsets are listed in canonical sorted order.
-    """
-    def check(beta: frozenset[int]) -> tuple[str, frozenset[int]]:
-        if len(beta) != scheme.m + 1:
-            return "malformed", beta
-        if beta <= scheme.eta(scheme.sigma(beta)):
-            return "ok", beta
-        return "violation", beta
-
-    results = [check(frozenset(s)) for s in subsets]
-
-    violations = sorted((b for tag, b in results if tag == "violation"), key=_canonical)
-    malformed = sorted(_canonical(b) for tag, b in results if tag == "malformed")
-    checked = sum(1 for tag, _ in results if tag != "malformed")
-    return SoundnessReport(checked, tuple(violations), tuple(malformed))
+    """Recheck the containment contract on every given (m+1)-set; a subset
+    of another size raises SchemeError from sigma. Violations are listed in
+    canonical sorted order."""
+    betas = [frozenset(subset) for subset in subsets]
+    violations = [beta for beta in betas if not beta <= scheme.eta(scheme.sigma(beta))]
+    return SoundnessReport(len(betas), tuple(sorted(violations, key=sorted)))
 
 
 def seeded_subsets(ids: Sequence[int], size: int, count: int, seed: int) -> list[frozenset[int]]:

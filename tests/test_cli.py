@@ -174,10 +174,10 @@ class TestEvaluate:
         assert errors > 0
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = tank_eval_config(tmp_path, trials=100)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["evaluate", cfg, "--out", str(a)]) == 0
-        assert main(["evaluate", cfg, "--out", str(b), "--seed", "99"]) == 0
+        assert main(["evaluate", tank_eval_config(tmp_path, trials=100), "--out", str(a)]) == 0
+        cfg = tank_eval_config(tmp_path, trials=100, seed=99)
+        assert main(["evaluate", cfg, "--out", str(b)]) == 0
         assert (a / "evaluation.csv").read_text() != (b / "evaluation.csv").read_text()
 
     def test_unsound_scheme_exits_one_without_traceback(self, tmp_path):
@@ -225,8 +225,23 @@ class TestEvaluate:
             pytest.param(
                 {"distribution": {"kind": "explicit",
                                   "masses": {"1": "1/2", "01": "1/2", "2": "1/2"}}},
-                "distribution.masses names point 1 twice",
+                "distribution.masses key '01' is not a point id",
                 id="mass-keys-name-one-id-twice",
+            ),
+            pytest.param(
+                {"distribution": {"kind": "explicit", "masses": {"1_0": "1/2", " 3": "1/2"}}},
+                "distribution.masses key '1_0' is not a point id",
+                id="mass-key-with-underscore",
+            ),
+            pytest.param(
+                {"distribution": {"kind": "explicit", "masses": {"3": "1/2", " 4": "1/2"}}},
+                "distribution.masses key ' 4' is not a point id",
+                id="mass-key-with-space",
+            ),
+            pytest.param(
+                {"distribution": {"kind": "explicit", "masses": {"+3": "1/2", "4": "1/2"}}},
+                "distribution.masses key '+3' is not a point id",
+                id="mass-key-with-plus-sign",
             ),
             pytest.param(
                 {"domain": {"kind": "finite", "size": 10}, "tower": {"depth": 0, "seed": 1},
@@ -254,16 +269,12 @@ class TestEvaluate:
         cfg = write_config(tmp_path, {**cfg, **sections})
         exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys, message)
 
-    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_override_below_one_exits_two(self, tmp_path, monkeypatch, capsys, cap):
-        cfg = tank_eval_config(tmp_path)
-
-        def no_trials(*args, **kwargs):
-            raise AssertionError("evaluate ran with an invalid cap")
-
-        monkeypatch.setattr(emx.cli, "evaluate", no_trials)
-        assert main(["evaluate", cfg, "--out", str(tmp_path / "out"), "--cap", cap]) == 2
-        assert capsys.readouterr().err == f"config error: --cap must be >= 1, got {cap}\n"
+        cfg = json.loads(Path(tank_eval_config(tmp_path)).read_text())
+        cfg = write_config(tmp_path, {**cfg, "learner": {"cap": cap}})
+        exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys,
+                                   f"learner.cap must be >= 1, got {cap}")
 
 
 class TestSearch:
@@ -481,6 +492,11 @@ class TestExitCodes:
                 id="descend-y-repeated-id",
             ),
             pytest.param(
+                "compress", {**NATURALS, "compress": {"points": [3, 3, 5]}},
+                "compress.points must hold distinct ids, got [3, 3, 5]",
+                id="compress-points-repeated-id",
+            ),
+            pytest.param(
                 "evaluate",
                 {
                     **NATURALS,
@@ -602,6 +618,31 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
         assert main(["compress", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize(
+        "section, text, key",
+        [
+            pytest.param("evaluate",
+                         '"evaluate": {"m": [3], "epsilon": ["1/4"], "seed": 1, "seed": 5}',
+                         "seed", id="field"),
+            pytest.param("distribution",
+                         '"distribution": {"kind": "explicit",'
+                         ' "masses": {"1": "1/2", "2": "1/2", "1": "1/2"}}',
+                         "1", id="mass-key"),
+            pytest.param("scheme",
+                         '"scheme": {"kind": "tower"}, "scheme": {"kind": "enumeration"}',
+                         "scheme", id="section"),
+        ],
+    )
+    def test_repeated_key_exits_two(self, tmp_path, monkeypatch, capsys, section, text, key):
+        sections = {**NATURALS, "distribution": {"kind": "uniform-range", "lo": 1, "hi": 5},
+                    **EXPLICIT_EVAL}
+        del sections[section]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"schema": "emx-experiment/1", **sections})[:-1]
+                        + ", " + text + "}")
+        exits_two_before_any_trial(str(path), str(tmp_path / "out"), monkeypatch, capsys,
+                                   f"key {key!r} appears twice in one object")
 
     @pytest.mark.parametrize(
         "command, sections, message",
@@ -820,18 +861,13 @@ class TestFuzzedConfigs:
                 config.setdefault(section, {})[name] = data.draw(values)
         if wild and data.draw(st.booleans()):
             config[data.draw(st.sampled_from(sorted(config)))] = data.draw(ANY_JSON)
-        flags = []
-        if command == "evaluate":
-            for flag in ("--cap", "--seed"):
-                if data.draw(st.booleans()):
-                    flags += [flag, str(data.draw(SMALL_INTS))]
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "exp.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(config, handle)
             stdout, stderr = io.StringIO(), io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):
-                code = main([command, path, "--out", os.path.join(work, "out"), *flags])
+                code = main([command, path, "--out", os.path.join(work, "out")])
         assert code in (0, 1, 2, 3)
         if code:
             assert stderr.getvalue().count("\n") <= 1

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from emx.chains import DEFAULT_CAP
 from emx.config import FIELDS, ConfigError, format_rational, load_config, parse_rational
 from emx.core import FiniteDomain
 
@@ -100,7 +101,9 @@ class TestBuilders:
         assert scheme.m == 2
         learner = cfg.build_learner(scheme)
         assert learner.cap == 500
-        assert cfg.build_learner(scheme, cap_override=9).cap == 9
+        del payload["learner"]
+        default = load_config(write(tmp_path, payload, "default.json"))
+        assert default.build_learner(scheme).cap == DEFAULT_CAP
 
     def test_distributions(self, tmp_path):
         payload = {

@@ -184,11 +184,15 @@ class TestVerifySoundness:
         assert report.checked == len(subsets)
         assert len(report.violations) == len(subsets)
 
-    def test_malformed_sizes_reported_not_fatal(self):
-        report = verify_soundness(naturals_scheme(), [{1, 2}, {1, 2, 3}, {4}])
-        assert report.checked == 1
-        assert report.malformed == ((1, 2, 3), (4,))
-        assert not report.ok
+    def test_wrong_size_subset_raises_scheme_error(self):
+        for subsets in ([{1, 2}, {1, 2, 3}], [{4}, {1, 2}]):
+            with pytest.raises(SchemeError, match="sigma expects 2 distinct points"):
+                verify_soundness(naturals_scheme(), subsets)
+
+    def test_violations_in_canonical_order(self):
+        subsets = [{5, 7}, {1, 9}, {1, 3}, {2, 4}]
+        report = verify_soundness(identity_eta_scheme(), subsets)
+        assert report.violations == tuple(map(frozenset, ([1, 3], [1, 9], [2, 4], [5, 7])))
 
 
 class TestSchemeContract:
