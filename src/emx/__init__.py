@@ -19,24 +19,14 @@ from .analysis import (
     search_schemes,
     witness_to_text,
 )
-from .calkin_wilf import calkin_wilf_domain, fraction_at, index_of
+from .calkin_wilf import fraction_at, index_of
 from .chains import (
     DEFAULT_CAP,
     CompressionTrace,
     ResourceLimitError,
     compress_chain,
     decompress_chain,
-    trace_from_text,
     trace_to_text,
-)
-from .classic import (
-    PlanePoint,
-    Rectangle,
-    load_plane_csv,
-    max_estimator,
-    plane_point,
-    rect_compress,
-    rect_reconstruct,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_rational
 from .core import (
@@ -45,7 +35,6 @@ from .core import (
     FiniteDomain,
     FiniteSupportDistribution,
     draw_sample,
-    emx_gap,
     erm_max_coverage,
     expectation,
     naturals_domain,
@@ -80,8 +69,6 @@ __all__ = [
     "FiniteSupportDistribution",
     "MonotoneScheme",
     "OrderTower",
-    "PlanePoint",
-    "Rectangle",
     "ReductionWitness",
     "ResourceLimitError",
     "SchemeError",
@@ -90,13 +77,11 @@ __all__ = [
     "SoundnessReport",
     "TrialRecord",
     "apply_learner",
-    "calkin_wilf_domain",
     "compress_chain",
     "counting_refutes",
     "decompress_chain",
     "descend",
     "draw_sample",
-    "emx_gap",
     "enumerated_tower",
     "enumeration_scheme",
     "erm_max_coverage",
@@ -107,19 +92,13 @@ __all__ = [
     "identity_eta_scheme",
     "index_of",
     "load_config",
-    "load_plane_csv",
-    "max_estimator",
     "naturals_domain",
     "parse_rational",
-    "plane_point",
     "reconstruction_image",
-    "rect_compress",
-    "rect_reconstruct",
     "search_schemes",
     "seeded_subsets",
     "split_seed",
     "tower_scheme",
-    "trace_from_text",
     "trace_to_text",
     "verify_soundness",
     "witness_to_text",

@@ -62,13 +62,15 @@ class ReductionWitness:
 
 def descend(
     scheme: MonotoneScheme,
-    domain_ids: Iterable[int],
+    domain_size: int,
     sub_domain: Iterable[int],
 ) -> ReductionWitness:
-    """Build the reduced scheme on the sub-domain.
+    """Build the reduced scheme on the sub-domain of the ids
+    0 .. domain_size-1.
 
     Z is the reconstruction image of the sub-domain; the anchor x is the
-    smallest domain id outside Z. The reduced compressor maps s to
+    smallest domain id outside Z, found in at most |Z| + 1 steps, so the
+    domain is never built. The reduced compressor maps s to
     sigma(s | {x}) minus x, which works because x can never be the dropped
     point: if it were, sigma's output would be an m-subset of the
     sub-domain whose reconstruction already contains x, contradicting
@@ -78,18 +80,16 @@ def descend(
     """
     if scheme.m < 1:
         raise ValueError("descending needs a scheme of arity m >= 1")
-    universe = frozenset(domain_ids)
     y = frozenset(sub_domain)
-    if not y <= universe:
+    if not all(0 <= pid < domain_size for pid in y):
         raise ValueError("sub-domain must lie inside the domain")
     if len(y) < scheme.m + 1:
         raise ValueError(f"sub-domain must hold at least {scheme.m + 1} points")
 
     z = reconstruction_image(scheme, y)
-    outside = universe - z
-    if not outside:
+    x = next((pid for pid in range(domain_size) if pid not in z), None)
+    if x is None:
         raise DeskScaleError(len(z))
-    x = min(outside)
     if x in y:
         # cannot happen for a sound scheme (the sub-domain sits inside Z);
         # treat as the same desk-scale failure

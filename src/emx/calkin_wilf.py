@@ -7,8 +7,6 @@ rational appears exactly once, in lowest terms.
 
 from fractions import Fraction
 
-from .core import CountableDomain, naturals_domain
-
 
 def fraction_at(index: int) -> Fraction:
     """Rational at the given enumeration index (0-based)."""
@@ -44,13 +42,3 @@ def index_of(value: Fraction | int | str) -> int:
         n = (n << 1) | bit
     return n - 1
 
-
-def first(count: int) -> list[Fraction]:
-    """The first `count` rationals in enumeration order."""
-    return [fraction_at(i) for i in range(count)]
-
-
-def calkin_wilf_domain() -> CountableDomain:
-    """The countable domain of ids, each read as the positive rational
-    fraction_at(id); the same domain as the naturals."""
-    return naturals_domain()

@@ -136,27 +136,3 @@ def trace_to_text(trace: CompressionTrace) -> str:
     lines.append("kernel: " + " ".join(map(str, sorted(trace.kernel))))
     return "\n".join(lines) + "\n"
 
-
-def trace_from_text(text: str) -> CompressionTrace:
-    """Parse a trace dump produced by trace_to_text."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"expected trace header {TRACE_HEADER!r}")
-    original: frozenset[int] | None = None
-    kernel: frozenset[int] | None = None
-    steps: list[tuple[frozenset[int], int]] = []
-    for line in lines[1:]:
-        tag, _, body = line.partition(":")
-        body = body.strip()
-        if tag == "original":
-            original = frozenset(map(int, body.split()))
-        elif tag == "kernel":
-            kernel = frozenset(map(int, body.split()))
-        elif tag == "step":
-            left, _, right = body.partition("|")
-            steps.append((frozenset(map(int, left.split())), int(right.strip())))
-        else:
-            raise ValueError(f"unexpected trace line {line!r}")
-    if original is None or kernel is None:
-        raise ValueError("trace is missing its original or kernel line")
-    return CompressionTrace(original, tuple(steps), kernel)

@@ -55,6 +55,11 @@ def _verify_subsets(cfg: ExperimentConfig, size: int | None, arity: int) -> list
         raise ConfigError(f"{cfg.path}: verify.{name} must be >= {arity + 1}, got {points}")
     if mode == "random":
         samples, seed = cfg.field("verify", "samples", 100), cfg.field("verify", "seed", 0)
+        if samples > EXHAUSTIVE_SUBSET_LIMIT:
+            raise ConfigError(
+                f"{cfg.path}: random verify of {samples} samples is above the "
+                f"{EXHAUSTIVE_SUBSET_LIMIT} guard"
+            )
         return seeded_subsets(range(points), arity + 1, samples, seed)
     if comb(points, arity + 1) > EXHAUSTIVE_SUBSET_LIMIT:
         raise ConfigError(
@@ -186,7 +191,7 @@ def cmd_descend(args) -> int:
     x_size = cfg.field("descend", "x_size", size)
     if x_size is None:
         raise ConfigError(f"{cfg.path}: descend.x_size is required for countable domains")
-    universe = range(x_size if size is None else min(x_size, size))
+    domain_size = x_size if size is None else min(x_size, size)
     sub = cfg.field("descend", "y", None)
     if sub is None:
         y_size = cfg.field("descend", "y_size", None)
@@ -203,7 +208,7 @@ def cmd_descend(args) -> int:
             f"evaluations, above the {DESCEND_SUBSET_LIMIT} guard"
         )
 
-    witness = descend(scheme, universe, sub)
+    witness = descend(scheme, domain_size, sub)
     reduced = witness.reduced
     lines = [
         "# emx-descent-witness 1",

@@ -92,10 +92,6 @@ class FiniteSupportDistribution:
             raise ValueError("uniform support must not repeat points")
         return cls({point_id: Fraction(1, len(points)) for point_id in points})
 
-    @classmethod
-    def point_mass(cls, point_id: int) -> "FiniteSupportDistribution":
-        return cls({point_id: Fraction(1)})
-
     @property
     def support(self) -> tuple[int, ...]:
         return self._support
@@ -131,15 +127,6 @@ def expectation(dist: FiniteSupportDistribution, hypothesis: Container[int]) -> 
     """Mass the hypothesis captures: the exact sum of masses of covered
     support points."""
     return Fraction(dist.captured_weight(hypothesis), dist.denominator)
-
-
-def emx_gap(dist: FiniteSupportDistribution, hypothesis: Container[int]) -> Fraction:
-    """Shortfall against the best hypothesis.
-
-    The support itself is a finite set, hence a hypothesis, so the best
-    capturable mass is exactly 1 and the gap is 1 minus the captured mass.
-    """
-    return Fraction(1) - expectation(dist, hypothesis)
 
 
 def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> tuple[int, ...]:

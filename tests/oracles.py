@@ -8,7 +8,9 @@ walks every round in full with no cover stop, the compression oracle
 re-sorts the live set on every step, and the evaluation oracle runs each
 trial on Fractions with nothing reused across trials. The enumeration
 oracle is the 2-to-1 scheme written on its own, without the tower
-construction's extraction loop or its reconstruction cache.
+construction's extraction loop or its reconstruction cache, and the
+tank-learner oracle `max_estimator` is the take-the-maximum rule for
+serial numbers, with no scheme, chain or tower at all.
 """
 
 import random
@@ -127,6 +129,17 @@ def enumeration_reference(tower):
         return tower.enumerate_below((), tower.key(0, (), kept))
 
     return compress, reconstruct
+
+
+def max_estimator(sample):
+    """Guess every serial number up to the largest seen: the hypothesis of
+    the 2-to-1 enumeration learner on the naturals, less the id 0."""
+    values = list(sample)
+    if not values:
+        raise ValueError("sample must be non-empty")
+    if min(values) < 1:
+        raise ValueError("serial numbers start at 1")
+    return frozenset(range(1, max(values) + 1))
 
 
 def draw_sample_reference(dist, m, seed):

@@ -13,7 +13,6 @@ from itertools import combinations
 from pathlib import Path
 
 from emx.analysis import SearchProblem, descend, search_schemes
-from emx.calkin_wilf import calkin_wilf_domain
 from emx.chains import compress_chain, decompress_chain
 from emx.cli import main
 from emx.core import (
@@ -44,7 +43,7 @@ def tank_learner() -> EmxLearner:
 
 def test_criterion_1_enumeration_soundness():
     started = time.perf_counter()
-    scheme = enumeration_scheme(enumerated_tower(calkin_wilf_domain()))
+    scheme = enumeration_scheme(enumerated_tower(naturals_domain()))
     result = verify_soundness(scheme, combinations(range(30), 2))
     elapsed = time.perf_counter() - started
     ok = result.checked == 435 and result.violations == () and elapsed < 1.0
@@ -67,7 +66,7 @@ def test_criterion_3_chain_round_trip():
     started = time.perf_counter()
     rng = random.Random(31)
     cases = []
-    enum_scheme = enumeration_scheme(enumerated_tower(calkin_wilf_domain()))
+    enum_scheme = enumeration_scheme(enumerated_tower(naturals_domain()))
     for _ in range(80):
         m = rng.randint(1, 12)
         cases.append((enum_scheme, frozenset(rng.sample(range(150), m)), 1))
@@ -94,13 +93,13 @@ def test_criterion_3_chain_round_trip():
 
 def test_criterion_4_descent_reductions():
     enum_scheme = enumeration_scheme(enumerated_tower(naturals_domain()))
-    w1 = descend(enum_scheme, range(101), range(6))
+    w1 = descend(enum_scheme, 101, range(6))
     r1 = verify_soundness(w1.reduced, [{y} for y in range(6)])
 
     proxy = tower_scheme(
         finite_proxy_tower(FiniteDomain(size=DESCENT_PROXY_SIZE), 1, DESCENT_PROXY_SEED)
     )
-    w2 = descend(proxy, range(DESCENT_PROXY_SIZE), range(8))
+    w2 = descend(proxy, DESCENT_PROXY_SIZE, range(8))
     r2 = verify_soundness(w2.reduced, combinations(range(8), 2))
 
     ok = (

@@ -77,7 +77,7 @@ class TestReconstructionImage:
 
 class TestDescend:
     def test_enumeration_descent(self):
-        witness = descend(naturals_scheme(), range(101), range(6))
+        witness = descend(naturals_scheme(), 101, range(6))
         assert witness.x == 6
         assert witness.z_size == 6
         reduced = witness.reduced
@@ -88,12 +88,12 @@ class TestDescend:
         assert report.ok
 
     def test_single_subset_degenerate_sub_domain(self):
-        witness = descend(naturals_scheme(), range(50), {0, 1})
+        witness = descend(naturals_scheme(), 50, {0, 1})
         assert witness.reduced.m == 0
         assert verify_soundness(witness.reduced, [{0}, {1}]).ok
 
     def test_depth1_proxy_descent(self):
-        witness = descend(proxy_scheme(), range(PROXY_SIZE), range(8))
+        witness = descend(proxy_scheme(), PROXY_SIZE, range(8))
         assert witness.z_size < PROXY_SIZE
         reduced = witness.reduced
         assert reduced.m == 1
@@ -104,7 +104,7 @@ class TestDescend:
     def test_desk_scale_failure_reports_image_size(self):
         # restrict the domain to the sub-domain itself: everything is covered
         with pytest.raises(DeskScaleError) as err:
-            descend(naturals_scheme(), range(6), range(6))
+            descend(naturals_scheme(), 6, range(6))
         assert err.value.z_size == 6
 
     def test_unsound_scheme_fails_verification(self):
@@ -112,18 +112,18 @@ class TestDescend:
         # misses most of the domain, so an anchor exists but the reduced
         # scheme is unsound
         with pytest.raises((DescentError, DeskScaleError)):
-            descend(identity_eta_scheme(2), range(30), range(5))
+            descend(identity_eta_scheme(2), 30, range(5))
 
     def test_rejects_tiny_sub_domain_and_arity_zero(self):
         with pytest.raises(ValueError):
-            descend(naturals_scheme(), range(10), {3})
+            descend(naturals_scheme(), 10, {3})
         zero = MonotoneScheme(0, lambda b: frozenset(), lambda t: frozenset(range(3)))
         with pytest.raises(ValueError):
-            descend(zero, range(10), range(2))
+            descend(zero, 10, range(2))
 
     def test_sub_domain_must_be_inside_domain(self):
         with pytest.raises(ValueError):
-            descend(naturals_scheme(), range(5), {3, 9})
+            descend(naturals_scheme(), 5, {3, 9})
 
 
 class TestCountingBound:

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from emx.calkin_wilf import calkin_wilf_domain, first, fraction_at, index_of
+from emx.calkin_wilf import fraction_at, index_of
+from emx.core import naturals_domain
 from oracles import calkin_wilf_bfs, calkin_wilf_recurrence
 
 
 def test_first_five():
-    assert first(5) == [
+    assert [fraction_at(i) for i in range(5)] == [
         Fraction(1, 1),
         Fraction(1, 2),
         Fraction(2, 1),
@@ -18,15 +19,15 @@ def test_first_five():
 
 
 def test_matches_bfs_oracle():
-    assert first(512) == calkin_wilf_bfs(512)
+    assert [fraction_at(i) for i in range(512)] == calkin_wilf_bfs(512)
 
 
 def test_matches_recurrence_oracle():
-    assert first(512) == calkin_wilf_recurrence(512)
+    assert [fraction_at(i) for i in range(512)] == calkin_wilf_recurrence(512)
 
 
 def test_enumeration_is_injective_and_reduced():
-    seen = first(1000)
+    seen = [fraction_at(i) for i in range(1000)]
     assert len(set(seen)) == 1000
     assert all(q > 0 for q in seen)
 
@@ -50,7 +51,7 @@ def test_index_of_rejects_nonpositive():
 
 
 def test_domain_ids_read_as_fractions():
-    dom = calkin_wilf_domain()
+    dom = naturals_domain()
     assert dom.size is None
     assert [fraction_at(i) for i in (0, 4)] == [Fraction(1), Fraction(3, 2)]
     assert index_of(fraction_at(17)) == 17

@@ -10,7 +10,6 @@ from emx.chains import (
     ResourceLimitError,
     compress_chain,
     decompress_chain,
-    trace_from_text,
     trace_to_text,
 )
 from emx.core import FiniteDomain, naturals_domain
@@ -206,12 +205,6 @@ class TestRoundTrip:
 
 
 class TestTraceText:
-    def test_round_trip_serialization(self):
-        scheme = proxy_scheme(40, 1, 3)
-        trace = compress_chain(frozenset({1, 5, 9, 13, 22}), scheme)
-        text = trace_to_text(trace)
-        assert trace_from_text(text) == trace
-
     def test_format_is_line_oriented(self):
         scheme = naturals_scheme()
         text = trace_to_text(compress_chain({4, 9, 2}, scheme))
@@ -221,7 +214,3 @@ class TestTraceText:
         assert lines[2] == "step: 2 4 | 2"
         assert lines[3] == "step: 4 9 | 4"
         assert lines[4] == "kernel: 9"
-
-    def test_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            trace_from_text("# wrong\noriginal: 1\nkernel: 1\n")

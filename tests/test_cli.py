@@ -132,6 +132,28 @@ class TestVerify:
         cfg = cw_verify_config(tmp_path, count=5000)
         assert main(["verify", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_random_guard(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": "emx-experiment/1",
+                "domain": {"kind": "naturals"},
+                "scheme": {"kind": "enumeration"},
+                "verify": {"mode": "random", "pool": 40, "samples": 200_001},
+            },
+        )
+
+        def no_subsets(*args, **kwargs):
+            raise AssertionError("subsets drawn past the guard")
+
+        monkeypatch.setattr(emx.cli, "seeded_subsets", no_subsets)
+        out = tmp_path / "o"
+        assert main(["verify", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "random verify of 200001 samples is above the 200000 guard" in err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_tank_run_writes_reports(self, tmp_path):
@@ -340,6 +362,23 @@ class TestDescend:
         assert "x: 6" in text
         assert "z_size: 6" in text
         assert "reduced_m: 0" in text
+
+    def test_huge_domain_writes_the_same_witness(self, tmp_path):
+        texts = []
+        for x_size in (101, 10**12):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "schema": "emx-experiment/1",
+                    "domain": {"kind": "naturals"},
+                    "scheme": {"kind": "enumeration"},
+                    "descend": {"x_size": x_size, "y_size": 6},
+                },
+            )
+            out = tmp_path / str(x_size)
+            assert main(["descend", cfg, "--out", str(out)]) == 0
+            texts.append((out / "descent.txt").read_text())
+        assert texts[0] == texts[1]
 
     def test_tower_descent_succeeds_on_mined_instance(self, tmp_path):
         cfg = write_config(

@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from emx.calkin_wilf import calkin_wilf_domain
 from emx.core import (
     FiniteDomain,
     FiniteSupportDistribution,
     draw_sample,
-    emx_gap,
     erm_max_coverage,
     expectation,
     naturals_domain,
@@ -55,7 +53,7 @@ class TestPointsAndDomains:
     def test_naturals_domain_is_countable(self):
         dom = naturals_domain()
         assert dom.size is None
-        assert dom == naturals_domain() == calkin_wilf_domain()
+        assert dom == naturals_domain()
 
 
 class TestDistribution:
@@ -73,7 +71,7 @@ class TestDistribution:
         d = FiniteSupportDistribution.uniform([3, 1, 2])
         assert d.mass(1) == Fraction(1, 3)
         assert d.support == (1, 2, 3)
-        pm = FiniteSupportDistribution.point_mass(7)
+        pm = FiniteSupportDistribution.uniform([7])
         assert pm.mass(7) == 1
 
     @given(mass_maps(), mass_maps(), st.data())
@@ -95,26 +93,18 @@ class TestExpectation:
     def test_full_support_cover(self):
         d = FiniteSupportDistribution.uniform([2, 3, 4])
         assert expectation(d, frozenset({2, 3, 4})) == 1
+        assert expectation(d, frozenset({2, 3, 4, 9})) == 1
+        tank = FiniteSupportDistribution.uniform(range(1, 21))
+        assert expectation(tank, frozenset(range(1, 16))) == Fraction(3, 4)
 
     def test_ad_table_ad1(self):
         d = FiniteSupportDistribution.uniform([1, 2, 3, 4])
         assert expectation(d, AD_1) == Fraction(1, 2)
+        assert expectation(d, AD_2) == Fraction(3, 4)
 
     def test_empty_hypothesis(self):
         d = FiniteSupportDistribution.uniform([5, 6])
         assert expectation(d, frozenset()) == 0
-
-    def test_gap_ad2(self):
-        d = FiniteSupportDistribution.uniform([1, 2, 3, 4])
-        assert emx_gap(d, AD_2) == Fraction(1, 4)
-
-    def test_gap_zero_when_support_covered(self):
-        d = FiniteSupportDistribution.uniform([1, 2, 3])
-        assert emx_gap(d, frozenset({1, 2, 3, 9})) == 0
-
-    def test_gap_on_naturals_prefix(self):
-        d = FiniteSupportDistribution.uniform(range(1, 21))
-        assert emx_gap(d, frozenset(range(1, 16))) == Fraction(1, 4)
 
     @given(distributions(), st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
     def test_expectation_monotone(self, d, small, extra):
@@ -123,11 +113,10 @@ class TestExpectation:
         assert expectation(d, inner) <= expectation(d, outer)
 
     @given(distributions(), st.sets(st.integers(0, 40)))
-    def test_gap_range_and_zero_iff_cover(self, d, ids):
-        h = frozenset(ids)
-        gap = emx_gap(d, h)
-        assert 0 <= gap <= 1
-        assert (gap == 0) == set(d.support).issubset(ids)
+    def test_range_and_one_iff_cover(self, d, ids):
+        captured = expectation(d, frozenset(ids))
+        assert 0 <= captured <= 1
+        assert (captured == 1) == set(d.support).issubset(ids)
 
 
 class TestSampling:
@@ -136,7 +125,7 @@ class TestSampling:
         assert draw_sample(d, 0, 5) == ()
 
     def test_point_mass_always_draws_the_point(self):
-        d = FiniteSupportDistribution.point_mass(9)
+        d = FiniteSupportDistribution.uniform([9])
         assert draw_sample(d, 7, 123) == (9,) * 7
 
     def test_golden_sequence(self):

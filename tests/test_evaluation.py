@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emx.evaluation
-from emx.calkin_wilf import calkin_wilf_domain
 from emx.chains import DEFAULT_CAP, ResourceLimitError
 from emx.core import FiniteDomain, FiniteSupportDistribution, draw_sample, naturals_domain
 from emx.evaluation import EmxLearner, apply_learner, evaluate, normal_quantile
 from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
 from emx.seeds import split_seed
 from emx.towers import enumerated_tower, finite_proxy_tower
-from oracles import draw_sample_reference, evaluate_reference
+from oracles import draw_sample_reference, evaluate_reference, max_estimator
 
 
 def tank_learner():
@@ -25,6 +24,10 @@ class TestApplyLearner:
     def test_enumeration_learner_returns_prefix(self):
         hyp = apply_learner(tank_learner(), (4, 9, 2))
         assert hyp == frozenset(range(10))
+
+    @given(st.lists(st.integers(1, 60), min_size=1))
+    def test_tank_learner_matches_max_estimator(self, draws):
+        assert apply_learner(tank_learner(), draws) == {0} | max_estimator(draws)
 
     def test_kernel_sized_sample_skips_the_chain(self):
         learner = EmxLearner(tower_scheme(finite_proxy_tower(FiniteDomain(size=30), 1, 2)), d=2)
@@ -47,7 +50,7 @@ class TestApplyLearner:
         assert len(hyp) < math.inf
 
     def test_calkin_wilf_learner_contains_its_sample(self):
-        learner = EmxLearner(enumeration_scheme(enumerated_tower(calkin_wilf_domain())), d=1)
+        learner = EmxLearner(enumeration_scheme(enumerated_tower(naturals_domain())), d=1)
         dist = FiniteSupportDistribution.uniform(range(10, 40, 3))
         sample = draw_sample(dist, 6, 4)
         assert frozenset(sample) <= apply_learner(learner, sample)

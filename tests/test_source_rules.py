@@ -169,3 +169,62 @@ def test_no_unused_imports():
 )
 def test_unused_import_rule(source, found):
     assert unused_imports(source) == found
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Exported for readers of the library rather than for its own code: the
+# learner as a function and the training baseline (criterion 9), and the
+# Calkin-Wilf reading of the ids of the `calkin-wilf` domain.
+EXPORT_KEEP = {"apply_learner", "erm_max_coverage", "fraction_at", "index_of"}
+
+
+def referenced_names(tree: ast.Module, strings: bool = False) -> set[str]:
+    """Names a module reads, as a name or an attribute, outside the def or
+    class that binds them; with strings, also the string constants, as the
+    tracer names the functions it wraps."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_is_used():
+    """Each name in `emx.__all__` is used by the package's own code or by
+    the benchmark; a name only the tests read is not exported."""
+    used = set(EXPORT_KEEP)
+    for _, tree in package_trees():
+        used |= referenced_names(tree)
+    for name in ("workloads.py", "tracer.py"):
+        source = (PERFBENCH / name).read_text(encoding="utf-8")
+        used |= referenced_names(ast.parse(source), strings=True)
+    assert sorted(set(emx.__all__) - used) == []
+
+
+@pytest.mark.parametrize(
+    "source, strings, found",
+    [
+        ("def f(n):\n    return f(n - 1)", False, {"n"}),
+        ("def f(): ...\ng = f", False, {"f"}),
+        ("class A:\n    def b(self) -> 'A': return A()\nlib.c", False, {"lib", "c"}),
+        ("SITES = [('emx.cli', 'main')]", True, {"emx.cli", "main"}),
+        ("SITES = [('emx.cli', 'main')]", False, set()),
+    ],
+)
+def test_referenced_names_rule(source, strings, found):
+    assert referenced_names(ast.parse(source), strings) == found
