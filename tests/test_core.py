@@ -93,18 +93,27 @@ class TestExpectation:
     def test_full_support_cover(self):
         d = FiniteSupportDistribution.uniform([2, 3, 4])
         assert expectation(d, frozenset({2, 3, 4})) == 1
-        assert expectation(d, frozenset({2, 3, 4, 9})) == 1
-        tank = FiniteSupportDistribution.uniform(range(1, 21))
-        assert expectation(tank, frozenset(range(1, 16))) == Fraction(3, 4)
 
     def test_ad_table_ad1(self):
         d = FiniteSupportDistribution.uniform([1, 2, 3, 4])
         assert expectation(d, AD_1) == Fraction(1, 2)
-        assert expectation(d, AD_2) == Fraction(3, 4)
 
     def test_empty_hypothesis(self):
         d = FiniteSupportDistribution.uniform([5, 6])
         assert expectation(d, frozenset()) == 0
+
+    # the gap of a hypothesis is the mass it misses, 1 - expectation
+    def test_gap_ad2(self):
+        d = FiniteSupportDistribution.uniform([1, 2, 3, 4])
+        assert 1 - expectation(d, AD_2) == Fraction(1, 4)
+
+    def test_gap_zero_when_support_covered(self):
+        d = FiniteSupportDistribution.uniform([1, 2, 3])
+        assert 1 - expectation(d, frozenset({1, 2, 3, 9})) == 0
+
+    def test_gap_on_naturals_prefix(self):
+        d = FiniteSupportDistribution.uniform(range(1, 21))
+        assert 1 - expectation(d, frozenset(range(1, 16))) == Fraction(1, 4)
 
     @given(distributions(), st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
     def test_expectation_monotone(self, d, small, extra):
