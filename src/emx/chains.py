@@ -1,8 +1,11 @@
 """Chained compression of arbitrary samples down to a d-point kernel, and
-the union-expansion decompression, with a full audit trace.
+the union-expansion decompression.
 
 Compressing M points with an arity-d scheme takes M - d steps, each
 applying sigma to a (d+1)-subset of the live set and ejecting one point.
+One loop does it: compress_kernel returns only the kernel, and records
+the steps only when asked; compress_chain asks, and wraps them in an
+audit trace.
 Decompression starts from eta(kernel) and repeatedly unions in eta of
 every d-subset of the current set; after M - d rounds the result contains
 every original point, because at some step sigma mapped exactly the d
@@ -56,27 +59,40 @@ class CompressionTrace:
             raise ValueError("kernel does not match the replayed steps")
 
 
-def compress_chain(points: Iterable[int], scheme: MonotoneScheme) -> CompressionTrace:
-    """Compress a point set to a kernel of scheme.m points.
+def compress_kernel(
+    points: Iterable[int],
+    scheme: MonotoneScheme,
+    steps: list[tuple[frozenset[int], int]] | None = None,
+) -> frozenset[int]:
+    """Compress a point set to a kernel of scheme.m points; when a steps
+    list is given, append each (sigma input, ejected point) step to it.
 
     Subset policy: each step feeds sigma the d+1 smallest-id live points.
     Any policy round-trips (decompression unions over all d-subsets);
     fixing one makes traces replayable. Sorting once suffices: the kept
     points precede every point not yet fed, which enter in id order.
     """
-    original = frozenset(points)
+    order = sorted(frozenset(points))
     d = scheme.m
-    if len(original) < d:
-        raise ValueError(f"need at least {d} distinct points, got {len(original)}")
-    order = sorted(original)
+    if len(order) < d:
+        raise ValueError(f"need at least {d} distinct points, got {len(order)}")
     kept = frozenset(order[:d])
-    steps: list[tuple[frozenset[int], int]] = []
     for pid in order[d:]:
         beta = kept | {pid}
         kept = scheme.sigma(beta)
-        (ejected,) = beta - kept
-        steps.append((beta, ejected))
-    return CompressionTrace(original, tuple(steps), kept)
+        if steps is not None:
+            (ejected,) = beta - kept
+            steps.append((beta, ejected))
+    return kept
+
+
+def compress_chain(points: Iterable[int], scheme: MonotoneScheme) -> CompressionTrace:
+    """Compress a point set as compress_kernel does, recording every step
+    in a validated CompressionTrace."""
+    original = frozenset(points)
+    steps: list[tuple[frozenset[int], int]] = []
+    kernel = compress_kernel(original, scheme, steps)
+    return CompressionTrace(original, tuple(steps), kernel)
 
 
 def decompress_chain(

@@ -30,6 +30,10 @@ from .evaluation import evaluate
 from .schemes import SchemeError, seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
+# Random verify on a countable domain reconstructs prefixes 0..max of the
+# pool, and the scheme caches up to 1 024 of them: at this pool and the
+# largest sample count `emx verify` peaks at about 96 MB RSS (Python 3.11).
+COUNTABLE_POOL_LIMIT = 1_000
 DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000
 
@@ -59,6 +63,11 @@ def _verify_subsets(cfg: ExperimentConfig, size: int | None, arity: int) -> list
             raise ConfigError(
                 f"{cfg.path}: random verify of {samples} samples is above the "
                 f"{EXHAUSTIVE_SUBSET_LIMIT} guard"
+            )
+        if size is None and points > COUNTABLE_POOL_LIMIT:
+            raise ConfigError(
+                f"{cfg.path}: random verify over a pool of {points} points of a countable "
+                f"domain is above the {COUNTABLE_POOL_LIMIT} guard"
             )
         return seeded_subsets(range(points), arity + 1, samples, seed)
     if comb(points, arity + 1) > EXHAUSTIVE_SUBSET_LIMIT:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .chains import DEFAULT_CAP, ResourceLimitError, compress_chain, decompress_chain
+from .chains import DEFAULT_CAP, ResourceLimitError, compress_kernel, decompress_chain
+from .chains import compress_chain  # noqa: F401  perfbench/tracer.py wraps it under this name
 from .core import FiniteSupportDistribution, draw_sample
 from .core import expectation  # noqa: F401  perfbench/tracer.py wraps it under this name
 from .schemes import MonotoneScheme, SchemeError
@@ -45,15 +46,16 @@ def _compress_sample(
     and the sample itself is the hypothesis."""
     if len(distinct) < learner.d:
         return None
-    return compress_chain(distinct, learner.scheme).kernel, len(distinct) - learner.d
+    return compress_kernel(distinct, learner.scheme), len(distinct) - learner.d
 
 
 def apply_learner(learner: EmxLearner, draws: Iterable[int]) -> frozenset[int]:
     """Hypothesis for one sample's draws; always finite.
 
-    A sample with fewer than d distinct points is returned as its set of
-    points (proper and sound). Reconstruction-cap overruns propagate as
-    ResourceLimitError.
+    The sample is compressed by compress_kernel, which records no steps:
+    only `emx compress` builds a CompressionTrace. A sample with fewer
+    than d distinct points is returned as its set of points (proper and
+    sound). Reconstruction-cap overruns propagate as ResourceLimitError.
     """
     distinct = frozenset(draws)
     compressed = _compress_sample(learner, distinct)
@@ -124,6 +126,8 @@ def evaluate(
     a sound scheme guarantees because the reconstruction contains the
     sample; an unsound scheme raises SchemeError.
 
+    Each sample is compressed to its kernel alone, without recording
+    steps or building a CompressionTrace, which only `emx compress` needs.
     Masses are compared as integer weights over the common denominator.
     A per-call memo keyed by (kernel, rounds) keeps each kernel's captured
     weight or cap error, so no kernel is decompressed twice.

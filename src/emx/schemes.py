@@ -94,10 +94,10 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
         context: tuple[int, ...] = ()
         rest = points
         for level in levels:
-            top = max(rest, key=lambda pid: tower.key(level, context, pid))
+            top = max(rest, key=tower.keys(level, context))
             rest = rest - {top}
             context += (top,)
-        return (*context, max(rest, key=lambda pid: tower.key(0, context, pid)))
+        return (*context, max(rest, key=tower.keys(0, context)))
 
     @lru_cache(maxsize=RECONSTRUCT_CACHE_SIZE)
     def reconstruct(t: frozenset[int]) -> frozenset[int]:

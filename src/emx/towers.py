@@ -30,8 +30,8 @@ ORDERING_CACHE_SIZE = 4096
 
 @dataclass(frozen=True)
 class OrderTower:
-    """Depth, a key function, a level-0 prefix enumerator and, for a
-    finite domain, its point set.
+    """Depth, a key-function factory, a level-0 prefix enumerator and, for
+    a finite domain, its point set.
 
     Invariants: keys are injective per (level, context); a context chain
     of length depth - level accompanies every level; enumerate_below(c, b)
@@ -40,11 +40,14 @@ class OrderTower:
     """
 
     depth: int
-    key_fn: Callable[[int, ContextChain, int], int]
+    keys_fn: Callable[[int, ContextChain], Callable[[int], int]]
     below_fn: Callable[[ContextChain, int], frozenset[int]]
     universe: frozenset[int] | None = None
 
-    def key(self, level: int, context: ContextChain, point_id: int) -> int:
+    def keys(self, level: int, context: ContextChain) -> Callable[[int], int]:
+        """The key function of one ordering, after checking that the level
+        exists and the context fits it; the function rejects a point
+        outside the domain."""
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside 0..{self.depth}")
         context = tuple(context)
@@ -53,7 +56,10 @@ class OrderTower:
                 f"context of length {len(context)} does not fit level {level} "
                 f"of a depth-{self.depth} tower"
             )
-        return self.key_fn(level, context, point_id)
+        return self.keys_fn(level, context)
+
+    def key(self, level: int, context: ContextChain, point_id: int) -> int:
+        return self.keys(level, context)(point_id)
 
     def enumerate_below(self, context: ContextChain, bound: int) -> frozenset[int]:
         context = tuple(context)
@@ -84,17 +90,22 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
         order = tuple(pid for _, pid in sorted(zip(order_hash(seed, level, context, ids), ids)))
         return order, {pid: pos for pos, pid in enumerate(order)}
 
-    def key(level: int, context: ContextChain, point_id: int) -> int:
+    def keys(level: int, context: ContextChain) -> Callable[[int], int]:
         positions = ordering(level, context)[1]
-        if point_id not in positions:
-            raise ValueError(f"point {point_id} is not in the domain")
-        return positions[point_id]
+
+        def key(point_id: int) -> int:
+            position = positions.get(point_id)
+            if position is None:
+                raise ValueError(f"point {point_id} is not in the domain")
+            return position
+
+        return key
 
     def below(context: ContextChain, bound: int) -> frozenset[int]:
         order = ordering(0, context)[0]
         return frozenset(order[: bound + 1])
 
-    return OrderTower(depth, key, below, frozenset(ids))
+    return OrderTower(depth, keys, below, frozenset(ids))
 
 
 def enumerated_tower(domain: CountableDomain) -> OrderTower:
@@ -102,12 +113,15 @@ def enumerated_tower(domain: CountableDomain) -> OrderTower:
     order: the key of a point is its id, and the points below a bound are
     the ids 0 .. bound."""
 
-    def key(level: int, context: ContextChain, point_id: int) -> int:
+    def key(point_id: int) -> int:
         if point_id < 0:
             raise ValueError(f"point {point_id} is not in the domain")
         return point_id
 
+    def keys(level: int, context: ContextChain) -> Callable[[int], int]:
+        return key
+
     def below(context: ContextChain, bound: int) -> frozenset[int]:
         return frozenset(range(bound + 1))
 
-    return OrderTower(0, key, below)
+    return OrderTower(0, keys, below)

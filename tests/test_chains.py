@@ -9,11 +9,12 @@ from emx.chains import (
     CompressionTrace,
     ResourceLimitError,
     compress_chain,
+    compress_kernel,
     decompress_chain,
     trace_to_text,
 )
 from emx.core import FiniteDomain, naturals_domain
-from emx.schemes import enumeration_scheme, tower_scheme
+from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
 from emx.towers import enumerated_tower, finite_proxy_tower
 from oracles import compress_per_step_sort, decompress_full
 
@@ -84,6 +85,62 @@ class TestCompressChain:
             CompressionTrace(frozenset({1, 2}), (), frozenset({1, 2, 3}))
         with pytest.raises(ValueError):
             CompressionTrace(frozenset({1, 2}), ((frozenset({1, 2}), 3),), frozenset({1}))
+
+
+def kernel_outcome(compress, points, scheme):
+    """The kernel, or the error's type and message."""
+    try:
+        return compress(points, scheme)
+    except ValueError as err:  # SchemeError included
+        return (type(err), str(err))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A scheme and a point set for it: the naturals, a depth-1 or depth-2
+    proxy tower, or identity eta; the set may be smaller than the arity,
+    may leave the domain, and the compressor may be swapped for one that
+    keeps its whole input."""
+    kind = draw(st.sampled_from(["naturals", "depth-1", "depth-2", "identity-eta"]))
+    if kind == "naturals":
+        scheme, ids = naturals_scheme(), st.integers(-2, 10**6)
+    elif kind == "identity-eta":
+        scheme, ids = identity_eta_scheme(draw(st.integers(0, 3))), st.integers(-5, 300)
+    else:
+        n = draw(st.integers(4, 30))
+        scheme = proxy_scheme(n, int(kind[-1]), draw(st.integers(0, 2**32)))
+        ids = st.integers(0, n + 2)
+    if draw(st.booleans()):
+        scheme = dataclasses.replace(scheme, compressor=lambda beta: beta)
+    points = draw(st.lists(ids, max_size=20))
+    return points, scheme
+
+
+class TestCompressKernel:
+    @given(kernel_cases())
+    @settings(max_examples=200)
+    def test_matches_the_trace_kernel(self, case):
+        points, scheme = case
+        assert kernel_outcome(compress_kernel, points, scheme) == kernel_outcome(
+            lambda p, s: compress_chain(p, s).kernel, points, scheme
+        )
+
+    def test_raises_what_the_trace_path_raises(self):
+        broken = dataclasses.replace(naturals_scheme(), compressor=lambda beta: beta)
+        for points, scheme in [((3,), proxy_scheme(20, 1, 0)), ((), naturals_scheme()),
+                               ((4, 9), broken), ((2, 25), proxy_scheme(20, 0, 0))]:
+            got = kernel_outcome(compress_kernel, points, scheme)
+            assert isinstance(got, tuple)
+            assert got == kernel_outcome(compress_chain, points, scheme)
+        assert kernel_outcome(compress_kernel, (4, 9), broken)[0] is SchemeError
+
+    def test_step_list_holds_the_trace_steps(self):
+        scheme = proxy_scheme(40, 2, 5)
+        points = random.Random(3).sample(range(40), 12)
+        steps = []
+        kernel = compress_kernel(points, scheme, steps)
+        trace = compress_chain(points, scheme)
+        assert (tuple(steps), kernel) == (trace.steps, trace.kernel)
 
 
 class TestDecompressChain:

@@ -154,6 +154,33 @@ class TestVerify:
         assert "random verify of 200001 samples is above the 200000 guard" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("domain", [{"kind": "naturals"}, {"kind": "calkin-wilf"}])
+    def test_countable_pool_guard(self, tmp_path, monkeypatch, capsys, domain):
+        def config(pool):
+            return write_config(
+                tmp_path,
+                {
+                    "schema": "emx-experiment/1",
+                    "domain": domain,
+                    "scheme": {"kind": "enumeration"},
+                    "verify": {"mode": "random", "pool": pool, "samples": 20},
+                },
+            )
+
+        assert main(["verify", config(1_000), "--out", str(tmp_path / "at")]) == 0
+        capsys.readouterr()
+
+        def no_subsets(*args, **kwargs):
+            raise AssertionError("subsets drawn past the guard")
+
+        monkeypatch.setattr(emx.cli, "seeded_subsets", no_subsets)
+        out = tmp_path / "o"
+        assert main(["verify", config(1_001), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "pool of 1001 points of a countable domain is above the 1000 guard" in err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_tank_run_writes_reports(self, tmp_path):

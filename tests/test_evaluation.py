@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emx.evaluation
-from emx.chains import DEFAULT_CAP, ResourceLimitError
-from emx.core import FiniteDomain, FiniteSupportDistribution, draw_sample, naturals_domain
+from emx.chains import DEFAULT_CAP, ResourceLimitError, compress_chain, decompress_chain
+from emx.core import (
+    FiniteDomain,
+    FiniteSupportDistribution,
+    draw_sample,
+    expectation,
+    naturals_domain,
+)
 from emx.evaluation import EmxLearner, apply_learner, evaluate, normal_quantile
 from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
 from emx.seeds import split_seed
@@ -249,6 +255,29 @@ class TestEvaluateOracle:
     @given(distributions(range(64)), st.integers(0, 30), st.integers(0, 2**64 - 1))
     def test_sampler_matches_rebuilt_cdf(self, dist, m, seed):
         assert draw_sample(dist, m, seed) == draw_sample_reference(dist, m, seed)
+
+    @given(
+        st.integers(6, 24), st.integers(0, 2**32), st.data(), st.integers(0, 10),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_depth2_records_match_the_trace_path(self, n, tower_seed, data, m, seed):
+        """Every completed trial's captured mass, recomputed by compressing
+        its sample through a full CompressionTrace and decompressing anew."""
+        tower = finite_proxy_tower(FiniteDomain(size=n), 2, tower_seed)
+        learner = EmxLearner(tower_scheme(tower), d=3)
+        dist = data.draw(distributions(range(n)), label="dist")
+        report = evaluate(learner, dist, m, Fraction(1, 4), 20, seed, keep_records=True)
+        assert report.errors == 0
+        for record in report.records:
+            assert record.seed == split_seed(seed, record.index)
+            distinct = frozenset(draw_sample(dist, m, record.seed))
+            hypothesis = distinct
+            if len(distinct) >= learner.d:
+                kernel = compress_chain(distinct, learner.scheme).kernel
+                rounds = len(distinct) - learner.d
+                hypothesis = decompress_chain(kernel, learner.scheme, rounds, learner.cap)
+            assert record.captured == expectation(dist, hypothesis)
 
     def test_boundary_trials_fail(self):
         # the mass up to point 5 is 8/15, so epsilon = 7/15 puts trials whose

@@ -69,7 +69,7 @@ class TestEnumerationScheme:
             def kernel(k):
                 return frozenset({k, k + RECONSTRUCT_CACHE_SIZE + 1} if depth else {k})
 
-            scheme = build(OrderTower(depth, lambda level, context, pid: pid, below))
+            scheme = build(OrderTower(depth, lambda level, context: lambda pid: pid, below))
             for _ in range(2):
                 for k in range(RECONSTRUCT_CACHE_SIZE):
                     scheme.eta(kernel(k))
@@ -110,13 +110,13 @@ def stub_tower(depth, level_keys):
     """Tower with dictated keys: level_keys[level] maps id -> key, the
     level-0 table is reused for every context."""
 
-    def key(level, context, pid):
-        return level_keys[level][pid]
+    def keys(level, context):
+        return level_keys[level].__getitem__
 
     def below(context, bound):
         return frozenset(p for p, k in level_keys[0].items() if k <= bound)
 
-    return OrderTower(depth, key, below)
+    return OrderTower(depth, keys, below)
 
 
 class TestTowerScheme:

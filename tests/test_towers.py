@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +135,36 @@ class TestFiniteProxy:
         tower = finite_proxy_tower(dom, 0, 0)
         with pytest.raises(ValueError, match="^point 17 is not in the domain$"):
             tower.key(0, (), 17)
+
+
+class TestKeys:
+    def test_key_function_matches_key_everywhere(self):
+        dom = FiniteDomain(size=5)
+        tower = finite_proxy_tower(dom, 2, 4)
+        for level in range(3):
+            for context in product(dom.ids(), repeat=2 - level):
+                keys = tower.keys(level, context)
+                assert [keys(pid) for pid in dom.ids()] == [
+                    tower.key(level, context, pid) for pid in dom.ids()
+                ]
+
+    def test_bad_level_or_context_raises_when_keys_is_called(self):
+        tower = finite_proxy_tower(FiniteDomain(size=5), 2, 4)
+        for level, context in [(3, ()), (-1, (1, 2, 3)), (2, (1,)), (0, (1,)), (1, ())]:
+            with pytest.raises(ValueError) as want:
+                tower.key(level, context, 0)
+            with pytest.raises(ValueError) as got:
+                tower.keys(level, context)
+            assert str(got.value) == str(want.value)
+
+    def test_point_outside_the_domain_is_named(self):
+        keys = finite_proxy_tower(FiniteDomain(size=5), 2, 4).keys(0, (1, 2))
+        with pytest.raises(ValueError, match="^point 17 is not in the domain$"):
+            keys(17)
+        keys = enumerated_tower(naturals_domain()).keys(0, ())
+        assert keys(41) == 41
+        with pytest.raises(ValueError, match="^point -1 is not in the domain$"):
+            keys(-1)
 
 
 class TestEnumeratedTower:
