@@ -39,7 +39,7 @@ from .core import (
     expectation,
     naturals_domain,
 )
-from .evaluation import EmxLearner, EvalReport, TrialRecord, apply_learner, evaluate
+from .evaluation import EmxLearner, EvalReport, TrialRecord, apply_learner, evaluate, evaluate_grid
 from .schemes import (
     MonotoneScheme,
     SchemeError,
@@ -86,6 +86,7 @@ __all__ = [
     "enumeration_scheme",
     "erm_max_coverage",
     "evaluate",
+    "evaluate_grid",
     "expectation",
     "finite_proxy_tower",
     "fraction_at",

@@ -26,7 +26,8 @@ from .analysis import (
 )
 from .chains import ResourceLimitError, compress_chain, trace_to_text
 from .config import ConfigError, ExperimentConfig, format_rational, load_config
-from .evaluation import evaluate
+from .evaluation import evaluate  # noqa: F401  perfbench/tracer.py wraps it under this name
+from .evaluation import evaluate_grid
 from .schemes import SchemeError, seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
@@ -119,11 +120,10 @@ def cmd_evaluate(args) -> int:
     confidence = cfg.field("evaluate", "confidence", 0.99)
     per_trial = cfg.field("evaluate", "per_trial", False)
 
-    reports = [
-        evaluate(learner, dist, m, eps, trials, seed, confidence=confidence, keep_records=per_trial)
-        for m in m_values
-        for eps in epsilons
-    ]
+    reports = evaluate_grid(
+        learner, dist, m_values, epsilons, trials, seed,
+        confidence=confidence, keep_records=per_trial,
+    )
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "evaluation.csv"), "w", encoding="utf-8", newline="") as handle:

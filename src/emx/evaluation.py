@@ -88,7 +88,6 @@ class EvalReport:
     failure_rate: Fraction
     ci_halfwidth: float
     confidence: float
-    master_seed: int
     records: tuple[TrialRecord, ...] | None = None
 
 
@@ -116,82 +115,138 @@ def evaluate(
     confidence: float = 0.99,
     keep_records: bool = False,
 ) -> EvalReport:
-    """Run independent sample-learn-measure rounds.
+    """The one-cell grid: `evaluate_grid` at sample size m and epsilon."""
+    return evaluate_grid(
+        learner, dist, [m], [epsilon], trials, seed, confidence, keep_records
+    )[0]
 
-    Trial i draws with split_seed(seed, i), so identical arguments
-    reproduce the report exactly. Learner errors (reconstruction cap) are
-    counted separately, never dropped; the failure rate is over completed
-    trials. The hypothesis is finite by construction, and every trial
-    checks that it captures at least the sample's own distinct mass, which
-    a sound scheme guarantees because the reconstruction contains the
-    sample; an unsound scheme raises SchemeError.
+
+def evaluate_grid(
+    learner: EmxLearner,
+    dist: FiniteSupportDistribution,
+    m_values: Iterable[int],
+    epsilons: Iterable[Fraction | int | str],
+    trials: int,
+    seed: int,
+    confidence: float = 0.99,
+    keep_records: bool = False,
+) -> list[EvalReport]:
+    """Run independent sample-learn-measure rounds for every (m, epsilon)
+    cell; the reports come m ascending, then epsilon ascending.
+
+    Trial i draws max(m) points once with split_seed(seed, i). Its sample
+    at a smaller m is the prefix of those draws, which is exactly what a
+    draw of m points from the same seed gives, so every cell equals a run
+    of that cell alone, and identical arguments reproduce the reports
+    exactly. The cells share their trials' draws, so their rates are
+    correlated, not independent. Each (trial, m) is compressed and
+    measured once; every epsilon only moves the threshold on its captured
+    weight.
+
+    Learner errors (reconstruction cap) are counted separately, never
+    dropped; a cell's failure rate is over its completed trials. The
+    hypothesis is finite by construction, and every (trial, m) checks that
+    it captures at least the sample's own distinct mass, which a sound
+    scheme guarantees because the reconstruction contains the sample; an
+    unsound scheme raises SchemeError naming the first such trial and m.
 
     Each sample is compressed to its kernel alone, without recording
     steps or building a CompressionTrace, which only `emx compress` needs.
     Masses are compared as integer weights over the common denominator.
-    A per-call memo keyed by (kernel, rounds) keeps each kernel's captured
-    weight or cap error, so no kernel is decompressed twice.
+    A memo for the whole run, keyed by (kernel, rounds), keeps each
+    kernel's captured weight or cap error, so no kernel is decompressed
+    twice. TrialRecords are built only with keep_records.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon <= 1:
+    m_values = sorted(m_values)
+    epsilons = sorted(Fraction(eps) for eps in epsilons)
+    for name, values in (("m", m_values), ("epsilon", epsilons)):
+        if not values or any(a == b for a, b in zip(values, values[1:])):
+            raise ValueError(f"{name} values must be distinct and at least one")
+    if m_values[0] < 0:
+        raise ValueError("sample size must be >= 0")
+    if not all(0 < eps <= 1 for eps in epsilons):
         raise ValueError("epsilon must be in (0, 1]")
-    threshold = 1 - epsilon
     denom = dist.denominator
-    # captured <= threshold  iff  weight * threshold.den <= threshold.num * D
-    fail_limit = threshold.numerator * denom
+    # captured <= 1 - eps  iff  weight * (1 - eps).den <= (1 - eps).num * D
+    limits = [((1 - eps).denominator, (1 - eps).numerator * denom) for eps in epsilons]
+    largest = m_values[-1]
     memo: dict[tuple[frozenset[int], int], int | ResourceLimitError] = {}
+    failures = [[0] * len(epsilons) for _ in m_values]
+    errors = [0] * len(m_values)
+    # per m, one (index, seed, weight or error text) per trial; kept only for records
+    outcomes: list[list[tuple[int, int, int | str]]] = [[] for _ in m_values]
 
-    def run(index: int) -> TrialRecord:
+    for index in range(trials):
         child = split_seed(seed, index)
-        distinct = frozenset(draw_sample(dist, m, child))
-        floor = dist.captured_weight(distinct)
-        compressed = _compress_sample(learner, distinct)
-        if compressed is None:
-            weight = floor
-        else:
-            weight = memo.get(compressed)
-            if weight is None:
-                kernel, rounds = compressed
-                try:
-                    weight = dist.captured_weight(
-                        decompress_chain(kernel, learner.scheme, rounds, learner.cap)
+        draws = draw_sample(dist, largest, child)
+        for cell, m in enumerate(m_values):
+            distinct = frozenset(draws if m == largest else draws[:m])
+            floor = dist.captured_weight(distinct)
+            compressed = _compress_sample(learner, distinct)
+            if compressed is None:
+                weight = floor
+            else:
+                weight = memo.get(compressed)
+                if weight is None:
+                    kernel, rounds = compressed
+                    try:
+                        weight = dist.captured_weight(
+                            decompress_chain(kernel, learner.scheme, rounds, learner.cap)
+                        )
+                    except ResourceLimitError as err:
+                        # kept without its traceback, which holds the decompression's frames
+                        weight = err.with_traceback(None)
+                    memo[compressed] = weight
+                if isinstance(weight, ResourceLimitError):
+                    errors[cell] += 1
+                    if keep_records:
+                        outcomes[cell].append((index, child, str(weight)))
+                    continue
+            if weight < floor:
+                raise SchemeError(
+                    f"trial {index}, m={m}: hypothesis lost sample mass (scheme unsound)"
+                )
+            for k, (tden, limit) in enumerate(limits):
+                failures[cell][k] += weight * tden <= limit
+            if keep_records:
+                outcomes[cell].append((index, child, weight))
+
+    z = normal_quantile(0.5 + confidence / 2)
+    reports = []
+    for cell, m in enumerate(m_values):
+        completed = trials - errors[cell]
+        for eps, (tden, limit), failed in zip(epsilons, limits, failures[cell]):
+            rate = Fraction(failed, completed) if completed else Fraction(0)
+            if completed:
+                halfwidth = z * math.sqrt(float(rate) * (1 - float(rate)) / completed)
+            else:
+                halfwidth = float("nan")
+            records = None
+            if keep_records:
+                records = tuple(
+                    TrialRecord(i, child, None, False, outcome)
+                    if isinstance(outcome, str)
+                    else TrialRecord(
+                        i, child, Fraction(outcome, denom), outcome * tden <= limit, None
                     )
-                except ResourceLimitError as err:
-                    # kept without its traceback, which holds the decompression's frames
-                    weight = err.with_traceback(None)
-                memo[compressed] = weight
-            if isinstance(weight, ResourceLimitError):
-                return TrialRecord(index, child, None, False, str(weight))
-        if weight < floor:
-            raise SchemeError(f"trial {index}: hypothesis lost sample mass (scheme unsound)")
-        failed = weight * threshold.denominator <= fail_limit
-        return TrialRecord(index, child, Fraction(weight, denom), failed, None)
-
-    records = [run(i) for i in range(trials)]
-
-    errors = sum(1 for r in records if r.error is not None)
-    completed = trials - errors
-    failures = sum(1 for r in records if r.failed)
-    rate = Fraction(failures, completed) if completed else Fraction(0)
-    if completed:
-        z = normal_quantile(0.5 + confidence / 2)
-        halfwidth = z * math.sqrt(float(rate) * (1 - float(rate)) / completed)
-    else:
-        halfwidth = float("nan")
-    return EvalReport(
-        m=m,
-        epsilon=epsilon,
-        trials=trials,
-        completed=completed,
-        failures=failures,
-        errors=errors,
-        failure_rate=rate,
-        ci_halfwidth=halfwidth,
-        confidence=confidence,
-        master_seed=seed,
-        records=tuple(records) if keep_records else None,
-    )
+                    for i, child, outcome in outcomes[cell]
+                )
+            reports.append(
+                EvalReport(
+                    m=m,
+                    epsilon=eps,
+                    trials=trials,
+                    completed=completed,
+                    failures=failed,
+                    errors=errors[cell],
+                    failure_rate=rate,
+                    ci_halfwidth=halfwidth,
+                    confidence=confidence,
+                    records=records,
+                )
+            )
+    return reports

@@ -187,6 +187,8 @@ def evaluate_reference(learner, dist, m, epsilon, trials, seed):
         captured = sum((mass for pid, mass in dist.items() if pid in hypothesis), Fraction(0))
         floor_mass = sum((dist.mass(pid) for pid in distinct), Fraction(0))
         if captured < floor_mass:
-            raise SchemeError(f"trial {index}: hypothesis lost sample mass (scheme unsound)")
+            raise SchemeError(
+                f"trial {index}, m={m}: hypothesis lost sample mass (scheme unsound)"
+            )
         records.append(TrialRecord(index, child, captured, captured <= threshold, None))
     return records

@@ -6,6 +6,8 @@ benchmark, not the library's own tests, so these checks pin them."""
 import ast
 import importlib
 import importlib.util
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import emx
@@ -14,15 +16,16 @@ import emx.cli  # noqa: F401  (the workloads call lib.cli.main)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_and_restores_every_site():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     sites = [(module, None, attr) for module, attr, _ in tracer.SPAN_SITES]
     sites += [(module, cls, attr) for module, cls, attr, _ in tracer.POINT_SITES]
 
@@ -51,3 +54,17 @@ def test_workloads_use_only_names_emx_exports():
     }
     assert {"FiniteDomain", "naturals_domain", "enumerated_tower", "cli"} <= used
     assert sorted(name for name in used if not hasattr(emx, name)) == []
+
+
+def test_workload_ops_pass_their_own_checks():
+    """One tank-mc op and one proxy-chain op, run and checked as the
+    benchmark does: this pins the call shapes the name check cannot see,
+    such as `evaluate`'s positional arguments, `EmxLearner(..., d=1)` and
+    the `steps` of `compress_chain`'s trace."""
+    workloads = load_perfbench("workloads")
+    uniform = {pid: Fraction(1, 20) for pid in range(1, 21)}
+    tank = workloads.tank_op(emx, "tank-1..20", uniform, 8, 60, 2019)
+    proxy = workloads.proxy_op(emx, workloads.ProxyGroup(2, 30, 5), [0, 3, 7, 11, 19, 25])
+    for op in (tank, proxy):
+        status, _ = op.check(op.run(*op.prepare()))
+        assert status == "ok", op.label

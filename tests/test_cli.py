@@ -78,9 +78,9 @@ def exits_two_before_any_trial(cfg, out, monkeypatch, capsys, message):
     or creating out."""
 
     def no_trials(*args, **kwargs):
-        raise AssertionError("evaluate ran on an invalid config")
+        raise AssertionError("evaluate_grid ran on an invalid config")
 
-    monkeypatch.setattr(emx.cli, "evaluate", no_trials)
+    monkeypatch.setattr(emx.cli, "evaluate_grid", no_trials)
     assert main(["evaluate", cfg, "--out", out]) == 2
     assert message in capsys.readouterr().err
     run = run_cli_process(["evaluate", cfg, "--out", out])

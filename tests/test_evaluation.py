@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from emx.core import (
     expectation,
     naturals_domain,
 )
-from emx.evaluation import EmxLearner, apply_learner, evaluate, normal_quantile
+from emx.evaluation import EmxLearner, apply_learner, evaluate, evaluate_grid, normal_quantile
 from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
 from emx.seeds import split_seed
 from emx.towers import enumerated_tower, finite_proxy_tower
@@ -162,6 +163,26 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="confidence must be in"):
             evaluate(tank_learner(), dist, 2, Fraction(1, 2), 10, seed=0, confidence=confidence)
 
+    @pytest.mark.parametrize(
+        "m_values, epsilons, message",
+        [
+            ([], [Fraction(1, 2)], "m values must be distinct"),
+            ([2, 3, 2], [Fraction(1, 2)], "m values must be distinct"),
+            ([2], [], "epsilon values must be distinct"),
+            ([2], [Fraction(1, 2), "1/2"], "epsilon values must be distinct"),
+            ([4, -1], [Fraction(1, 2)], "sample size must be >= 0"),
+            ([2], [Fraction(1, 2), Fraction(0)], r"epsilon must be in \(0, 1\]"),
+        ],
+    )
+    def test_grid_is_checked_before_any_trial(self, monkeypatch, m_values, epsilons, message):
+        def no_draws(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(emx.evaluation, "draw_sample", no_draws)
+        dist = FiniteSupportDistribution.uniform([1, 2])
+        with pytest.raises(ValueError, match=message):
+            evaluate_grid(tank_learner(), dist, m_values, epsilons, 10, seed=0)
+
     @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 2), Fraction(5, 4)])
     def test_epsilon_is_checked_before_any_trial(self, monkeypatch, epsilon):
         def no_draws(*args):
@@ -226,31 +247,76 @@ def evaluation_cases(draw):
     # epsilon stays in (0, 1]
     prefix = draw(st.integers(0, len(dist.support) - 1))
     boundary = 1 - sum((dist.mass(pid) for pid in dist.support[:prefix]), Fraction(0))
-    epsilon = draw(st.sampled_from([boundary, Fraction(1, 4), Fraction(1)]))
-    m = draw(st.integers(0, 12))
+    epsilons = draw(st.lists(st.sampled_from([boundary, Fraction(1, 4), Fraction(1)]),
+                             min_size=1, max_size=2, unique=True))
+    m_values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True))
     trials = draw(st.integers(1, 25))
     seed = draw(st.integers(0, 2**64 - 1))
-    return learner, dist, m, epsilon, trials, seed
+    return learner, dist, m_values, epsilons, trials, seed
 
 
 class TestEvaluateOracle:
     @given(evaluation_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_trial_fraction_loop(self, case):
-        try:
-            want = evaluate_reference(*case)
-        except SchemeError as err:
+        learner, dist, m_values, epsilons, trials, seed = case
+        cells = [(m, eps) for m in sorted(m_values) for eps in sorted(epsilons)]
+        wants, losses = [], []
+        for m, eps in cells:
+            try:
+                wants.append(evaluate_reference(learner, dist, m, eps, trials, seed))
+            except SchemeError as err:
+                trial = int(re.match(r"trial (\d+), m=", str(err)).group(1))
+                losses.append((trial, m, str(err)))
+        if losses:
+            # trials run trial-major, m ascending: the first lost (trial, m) raises
             with pytest.raises(SchemeError) as got:
-                evaluate(*case, keep_records=True)
-            assert str(got.value) == str(err)
+                evaluate_grid(*case, keep_records=True)
+            assert str(got.value) == min(losses)[2]
             return
-        report = evaluate(*case, keep_records=True)
-        assert report.records == tuple(want)
-        errors = sum(1 for r in want if r.error is not None)
-        failures = sum(1 for r in want if r.failed)
-        completed = len(want) - errors
-        assert (report.completed, report.failures, report.errors) == (completed, failures, errors)
-        assert report.failure_rate == (Fraction(failures, completed) if completed else 0)
+        reports = evaluate_grid(*case, keep_records=True)
+        assert [(r.m, r.epsilon) for r in reports] == cells
+        for report, want in zip(reports, wants):
+            assert report.records == tuple(want)
+            errors = sum(1 for r in want if r.error is not None)
+            failures = sum(1 for r in want if r.failed)
+            completed = len(want) - errors
+            assert (report.completed, report.failures, report.errors) == (
+                completed, failures, errors)
+            assert report.failure_rate == (Fraction(failures, completed) if completed else 0)
+
+    @given(
+        distributions(range(1, 40)),
+        st.lists(st.integers(0, 20), min_size=2, max_size=4, unique=True),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tank_captured_mass_never_falls_as_m_grows(self, dist, m_values, seed):
+        """A trial's draws at a smaller m are a prefix of its draws at a
+        larger one, and the tank learner keeps everything up to the largest
+        draw."""
+        reports = evaluate_grid(tank_learner(), dist, m_values, [Fraction(1, 4)], 15, seed,
+                                keep_records=True)
+        for smaller, larger in zip(reports, reports[1:]):
+            for a, b in zip(smaller.records, larger.records):
+                assert a.index == b.index and a.seed == b.seed
+                assert a.captured <= b.captured
+
+    def test_one_draw_per_trial_for_the_whole_grid(self, monkeypatch):
+        calls = []
+        draw = emx.evaluation.draw_sample
+
+        def counting(dist, m, seed):
+            calls.append(m)
+            return draw(dist, m, seed)
+
+        monkeypatch.setattr(emx.evaluation, "draw_sample", counting)
+        dist = FiniteSupportDistribution.uniform(range(1, 21))
+        epsilons = [Fraction(1, 2), Fraction(1, 4)]
+        reports = evaluate_grid(tank_learner(), dist, [8, 2, 5], epsilons, 40, seed=11)
+        assert [(r.m, r.epsilon) for r in reports] == [
+            (m, eps) for m in (2, 5, 8) for eps in sorted(epsilons)]
+        assert calls == [8] * 40
 
     @given(distributions(range(64)), st.integers(0, 30), st.integers(0, 2**64 - 1))
     def test_sampler_matches_rebuilt_cdf(self, dist, m, seed):
