@@ -7,6 +7,7 @@ tower orderings. Both are pure functions of their inputs.
 """
 
 import hashlib
+from functools import lru_cache
 from typing import Iterable
 
 _MASK64 = (1 << 64) - 1
@@ -37,14 +38,27 @@ def order_hash(seed: int, level: int, context: tuple[int, ...], ids: Iterable[in
 
     The key of an id is the BLAKE2b digest of repr(seed), repr(level),
     repr(context) and repr(id), each followed by a NUL byte. The shared
-    prefix is hashed once and its state copied for each id.
+    prefix is hashed once and its state copied for each id; the ids'
+    encodings come from a cache, since a tower hashes one ids tuple for
+    every ordering it fills.
     """
     prefix = hashlib.blake2b(digest_size=16)
     for part in (seed, level, context):
         prefix.update(repr(part).encode("ascii") + b"\x00")
+    copy = prefix.copy
     keys = []
-    for pid in ids:
-        h = prefix.copy()
-        h.update(repr(pid).encode("ascii") + b"\x00")
+    for encoded in _encoded_ids(tuple(ids)):
+        h = copy()
+        h.update(encoded)
         keys.append(h.digest())
     return keys
+
+
+# Distinct ids tuples held at once: one per domain size in use.
+_ENCODED_IDS_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_ENCODED_IDS_CACHE_SIZE)
+def _encoded_ids(ids: tuple[int, ...]) -> tuple[bytes, ...]:
+    """repr(id) in ASCII followed by a NUL byte, for each id."""
+    return tuple(repr(pid).encode("ascii") + b"\x00" for pid in ids)

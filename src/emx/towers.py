@@ -77,8 +77,8 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
     """Desk-scale tower over a finite domain.
 
     Each (level, context) pair gets its own ordering: ids sorted by a
-    stable hash of (seed, level, context, id), ties impossible because the
-    id is part of the sort key. Orderings are cached per context, up to
+    stable hash of (seed, level, context, id), equal hashes broken by
+    ascending id. Orderings are cached per context, up to
     ORDERING_CACHE_SIZE of them, least recently used first out.
     """
     if depth < 0:
@@ -87,8 +87,12 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
 
     @lru_cache(maxsize=ORDERING_CACHE_SIZE)
     def ordering(level: int, context: ContextChain) -> tuple[tuple[int, ...], dict[int, int]]:
-        order = tuple(pid for _, pid in sorted(zip(order_hash(seed, level, context, ids), ids)))
-        return order, {pid: pos for pos, pid in enumerate(order)}
+        digests = order_hash(seed, level, context, ids)
+        # ids is range(size), so an id indexes its own digest. The sort is
+        # stable, so equal digests keep ascending id order, exactly as the
+        # (digest, id) sort orders them.
+        order = tuple(sorted(ids, key=digests.__getitem__))
+        return order, dict(zip(order, range(len(order))))
 
     def keys(level: int, context: ContextChain) -> Callable[[int], int]:
         positions = ordering(level, context)[1]

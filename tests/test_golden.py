@@ -1,20 +1,26 @@
-"""Pinned digests of every file `emx evaluate` writes.
+"""Pinned digests of `emx` output files: every file `emx evaluate` writes,
+and the tower outputs of `emx descend` and `emx compress`.
 
 The determinism criterion compares two runs of one build; these digests
-compare builds. They were computed with the per-trial Fraction
-implementation of `evaluate` (sampler CDF rebuilt per trial, captured
-mass and sample-mass floor summed as Fractions, every kernel
+compare builds. The `evaluate` digests were computed with the per-trial
+Fraction implementation of `evaluate` (sampler CDF rebuilt per trial,
+captured mass and sample-mass floor summed as Fractions, every kernel
 decompressed anew), so the integer-weight path with its kernel memo must
-reproduce its files byte for byte. A digest changes only when an output
-format, the sampler or a learner changes on purpose.
+reproduce its files byte for byte. The tower digests were computed with
+orderings built by sorting (digest, id) pairs, so any faster fill must
+reproduce every ordering. A digest changes only when an output format,
+the sampler, a learner or the ordering digest changes on purpose.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from emx.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Naturals, enumeration scheme, four points with coprime denominators;
 # 1 - epsilon = 8/15 is the mass up to point 5, so boundary trials fail.
@@ -71,3 +77,32 @@ def test_evaluate_files_match_pinned_digests(tmp_path, config, digests):
     assert main(["evaluate", str(path), "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert got == digests
+
+
+# Depth-2 proxy tower on 60 points: a twelve-point sample compressed
+# through every level, so the trace reads orderings of all three levels.
+DEPTH2_COMPRESS = {
+    "schema": "emx-experiment/1",
+    "domain": {"kind": "finite", "size": 60},
+    "tower": {"depth": 2, "seed": 7},
+    "scheme": {"kind": "tower"},
+    "compress": {"points": [3, 59, 17, 42, 0, 28, 11, 50, 33, 8, 21, 46]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, name, digest",
+    [
+        ("descend", json.loads((CONFIGS / "descend_tower.json").read_text()), "descent.txt",
+         "6adebcffe1611b334fbe44913a795e1c82e10c45d153a5483549c5332cd6ecd0"),
+        ("compress", DEPTH2_COMPRESS, "trace.txt",
+         "624a1a07b685791cfe42174ac75a713e0b110a90c4c0725027165a8218b4a07a"),
+    ],
+    ids=["descend-tower", "compress-depth2"],
+)
+def test_tower_outputs_match_pinned_digests(tmp_path, command, config, name, digest):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from emx.calkin_wilf import index_of
 from emx.core import FiniteDomain, naturals_domain
@@ -90,18 +90,50 @@ class TestFiniteProxy:
         assert enumerated_tower(naturals_domain()).universe is None
 
     def test_order_hash_matches_per_id_digests(self):
-        ids = [0, 5, 17, 123456]
+        ids = [0, 5, 9, 10, 17, 123456, 2**70]
         for seed, level, context in [(0, 0, ()), (7, 1, (3,)), (2**40, 0, (9, 1))]:
             assert order_hash(seed, level, context, ids) == [
                 per_id_hash(seed, level, context, pid) for pid in ids
             ]
 
-    def test_orderings_sort_by_per_id_digest(self):
-        dom = FiniteDomain(size=30)
-        tower = finite_proxy_tower(dom, 1, 5)
-        for ctx in [(0,), (29,)]:
-            order = sorted(dom.ids(), key=lambda pid: (per_id_hash(5, 0, ctx, pid), pid))
-            assert [tower.key(0, ctx, pid) for pid in order] == list(range(30))
+    @given(
+        st.integers(61, 120),
+        st.integers(0, 2**70),
+        st.lists(st.integers(0, 119), min_size=2, max_size=2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_orderings_sort_by_per_id_digest(self, size, seed, chain):
+        ids = range(size)
+        tower = finite_proxy_tower(FiniteDomain(size=size), 2, seed)
+        chain = tuple(c % size for c in chain)
+        for level, ctx in [(2, ()), (1, chain[:1]), (0, chain)]:
+            order = sorted(ids, key=lambda pid: (per_id_hash(seed, level, ctx, pid), pid))
+            assert [tower.key(level, ctx, pid) for pid in order] == list(ids)
+
+    @pytest.mark.parametrize(
+        "fake_digest",
+        [lambda pid: b"\x00" * 16, lambda pid: bytes([pid // 2 % 256]) * 16],
+        ids=["all-equal", "equal-in-pairs"],
+    )
+    def test_equal_digests_keep_ascending_id_order(self, monkeypatch, fake_digest):
+        """The ordering is the (digest, id) sort, so equal digests fall back
+        to ascending id."""
+        drawn = {}
+
+        def fake_order_hash(seed, level, context, ids):
+            # Digests run against id order, so only the tie-break keeps
+            # the ids of one digest ascending.
+            digests = [fake_digest(len(ids) - 1 - pid) for pid in ids]
+            drawn[level, context] = digests
+            return digests
+
+        monkeypatch.setattr(emx.towers, "order_hash", fake_order_hash)
+        size = 21
+        tower = finite_proxy_tower(FiniteDomain(size=size), 2, 3)
+        for level, ctx in [(2, ()), (1, (4,)), (0, (4, 17))]:
+            keys = tower.keys(level, ctx)
+            order = [pid for _, pid in sorted(zip(drawn[level, ctx], range(size)))]
+            assert [keys(pid) for pid in order] == list(range(size))
 
     def test_ordering_cache_holds_a_depth2_tower_on_60_points(self, monkeypatch):
         hashed = []
