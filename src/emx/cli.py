@@ -32,8 +32,9 @@ from .schemes import SchemeError, seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
 # Random verify on a countable domain reconstructs prefixes 0..max of the
-# pool, and the scheme caches up to 1 024 of them: at this pool and the
-# largest sample count `emx verify` peaks at about 96 MB RSS (Python 3.11).
+# pool, and the scheme caches up to 1 024 of them (and as many compressed
+# pairs): at this pool and the largest sample count `emx verify` peaks at
+# about 96 MB RSS (Python 3.11).
 COUNTABLE_POOL_LIMIT = 1_000
 DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000

@@ -135,15 +135,28 @@ def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> tuple[int
 
     Inverse-CDF convention: support ids ascending, intervals half-open.
     With D the least common denominator of the masses, each draw picks
-    randrange(D) and selects the point whose integer interval
+    r uniform in 0..D-1 and selects the point whose integer interval
     [c_{i-1}, c_i) contains it, so exactly mass*D of the D outcomes hit
     each point and the sampler is exact.
+
+    The draws are defined by this loop: with k = D.bit_length(), r is
+    getrandbits(k) of Random(seed), drawn again while r >= D. It is the
+    rejection loop Random(seed).randrange(D) runs, written inline to save
+    two Python frames per draw, so r is exactly randrange(D);
+    `test_sampler_matches_randrange` pins the two together.
     """
     if m < 0:
         raise ValueError("sample size must be >= 0")
     support, bounds, denom = dist.support, dist._bounds, dist.denominator
-    randrange = random.Random(seed).randrange
-    return tuple(support[bisect_right(bounds, randrange(denom))] for _ in range(m))
+    getrandbits = random.Random(seed).getrandbits
+    k = denom.bit_length()
+    draws = []
+    for _ in range(m):
+        r = getrandbits(k)
+        while r >= denom:
+            r = getrandbits(k)
+        draws.append(support[bisect_right(bounds, r)])
+    return tuple(draws)
 
 
 def erm_max_coverage(

@@ -322,6 +322,22 @@ class TestEvaluateOracle:
     def test_sampler_matches_rebuilt_cdf(self, dist, m, seed):
         assert draw_sample(dist, m, seed) == draw_sample_reference(dist, m, seed)
 
+    @pytest.mark.parametrize("denom", sorted(
+        {1} | {2**k + delta for k in (1, 5, 31, 32, 33, 64, 100) for delta in (-1, 0, 1)}))
+    @given(st.data(), st.integers(0, 64), st.integers(0, 2**64 - 1))
+    @settings(max_examples=30)
+    def test_sampler_matches_randrange(self, denom, data, m, seed):
+        """The inline rejection loop draws what randrange(D) draws, on
+        common denominators D of one bit through multi-word getrandbits,
+        at and on either side of powers of two."""
+        # weights 1, a and D - 1 - a over D: the mass 1/D fixes D as the denominator
+        a = data.draw(st.integers(0, denom - 1))
+        weights = [w for w in (1, a, denom - 1 - a) if w]
+        dist = FiniteSupportDistribution(
+            {pid: Fraction(w, denom) for pid, w in enumerate(weights)})
+        assert dist.denominator == denom
+        assert draw_sample(dist, m, seed) == draw_sample_reference(dist, m, seed)
+
     @given(
         st.integers(6, 24), st.integers(0, 2**32), st.data(), st.integers(0, 10),
         st.integers(0, 2**64 - 1),
