@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -254,7 +255,14 @@ def cmd_compress(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and reused.
+
+    Building it costs about 1 ms, more than most commands' work, while
+    parse_args leaves it unchanged, so repeated `main` calls share it. It
+    is not built at import, so importing emx.cli stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="emx",
         description="Compression-scheme experiments: verify, evaluate, search, descend, compress.",

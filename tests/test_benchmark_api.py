@@ -13,7 +13,8 @@ from pathlib import Path
 import emx
 import emx.cli  # noqa: F401  (the workloads call lib.cli.main)
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(name):
@@ -68,3 +69,19 @@ def test_workload_ops_pass_their_own_checks():
     for op in (tank, proxy):
         status, _ = op.check(op.run(*op.prepare()))
         assert status == "ok", op.label
+
+
+def test_repeated_cli_ops_match(tmp_path, monkeypatch):
+    """The shipped-config ops and some search ops of one cli-audit round,
+    run twice in one process: the first pass builds the CLI parser and the
+    second reuses it, and both give the same statuses and check blobs, so
+    no state leaks from one `main` call into the next."""
+    workloads = load_perfbench("workloads")
+    monkeypatch.chdir(ROOT)  # the round names the shipped configs by relative path
+    ops = workloads.cli_round(emx, 1, 0, str(tmp_path))
+    searches = [op for op in ops if op.label.startswith("search ")]
+    picked = ops[: len(workloads.SHIPPED)] + searches[::4]
+    emx.cli.build_parser.cache_clear()
+    runs = [[op.check(op.run(*op.prepare())) for op in picked] for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert [status for status, _ in runs[0]] == ["ok"] * len(picked)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -478,6 +479,78 @@ class TestCompress:
             },
         )
         assert main(["compress", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestParserReuse:
+    """`main` builds its parser on the first call and reuses it: no call
+    may see the arguments, defaults or output of an earlier one."""
+
+    USAGE_ERROR = ["search", "x", "0", "2"]
+
+    def test_one_parser_serves_every_subcommand(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        emx.cli.build_parser.cache_clear()
+        for argv in (
+            ["verify", cw_verify_config(tmp_path, count=6)],
+            ["evaluate", tank_eval_config(tmp_path, trials=5)],
+            ["search", "3", "0", "3"],
+            ["descend", str(CONFIGS / "descend_enumeration.json")],
+            ["compress", str(CONFIGS / "compress_demo.json")],
+        ) * 2:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        # the main parser and one subparser per command, all from the first call
+        assert len(built) == 6
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(emx.__file__).resolve().parent.parent)
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import emx.cli\n"
+            "print(len(built), emx.cli.build_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.USAGE_ERROR)
+        assert exc.value.code == 2
+        out = tmp_path / "w"
+        assert main(["search", "3", "0", "3", "--out", str(out)]) == 0
+        assert (out / "witness.txt").exists()
+
+    def test_no_option_carries_over(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", cw_verify_config(tmp_path, count=6), "--out", "D"]) == 0
+        assert main(["search", "3", "0", "3"]) == 0
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "exp.json", "soundness.csv"]
+
+    def test_help_and_usage_errors_are_byte_identical(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        for argv, code in ((["--help"], 0), (["verify", "--help"], 0), (self.USAGE_ERROR, 2)):
+            fresh = run_cli_process(argv)
+            assert fresh.returncode == code
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == code
+                assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
 
 
 NATURALS = {"domain": {"kind": "naturals"}, "scheme": {"kind": "enumeration"}}

@@ -121,6 +121,16 @@ class TestExpectation:
         outer = frozenset(small | extra)
         assert expectation(d, inner) <= expectation(d, outer)
 
+    @given(distributions(max_support=20), st.sets(st.integers(-3, 45), max_size=40))
+    def test_captured_weight_matches_brute_force(self, d, ids):
+        """Member sets smaller and larger than the support, with ids
+        outside it, against the sum over the support's masses; a list
+        that repeats every id counts each point once."""
+        brute = sum(mass for pid, mass in d.items() if pid in ids) * d.denominator
+        repeated = sorted(ids) * 2
+        assert d.captured_weight(ids) == d.captured_weight(frozenset(ids)) == brute
+        assert d.captured_weight(repeated) == brute
+
     @given(distributions(), st.sets(st.integers(0, 40)))
     def test_range_and_one_iff_cover(self, d, ids):
         captured = expectation(d, frozenset(ids))
