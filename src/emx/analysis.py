@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable
 
 from .schemes import MonotoneScheme, SchemeError, verify_soundness
@@ -148,9 +147,11 @@ def counting_refutes(problem: SearchProblem) -> bool:
     (budget - m). The bound is also sufficient: every (m+1)-set has m+1
     m-subsets and every m-set n - m supersets, so by Hall's theorem on
     this biregular graph (and flow integrality) the slots can be assigned
-    whenever (n - m) / (m + 1) <= budget - m, which is the same inequality."""
+    whenever (n - m) / (m + 1) <= budget - m, which is the same inequality.
+    As C(n, m+1) = C(n, m) * (n - m) / (m + 1), it is tested in that form,
+    without the binomials."""
     capacity = max(0, problem.budget - problem.m)
-    return comb(problem.n, problem.m + 1) > comb(problem.n, problem.m) * capacity
+    return problem.n - problem.m > (problem.m + 1) * capacity
 
 
 def search_schemes(problem: SearchProblem) -> SearchResult:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import UnionType
-from typing import Any, get_args, get_origin
+from typing import Any, Literal, get_args, get_origin
 
 from .chains import DEFAULT_CAP
 from .core import Domain, FiniteDomain, FiniteSupportDistribution, naturals_domain
@@ -24,25 +24,26 @@ from .towers import OrderTower, enumerated_tower, finite_proxy_tower
 SCHEMA = "emx-experiment/1"
 
 # Every field a config may hold: section -> field -> (JSON type, minimum).
-# int excludes booleans; a Fraction is a rational (see parse_rational); a
-# float is a number strictly between 0 and 1; `X | list[X]` also takes a
-# single X. A minimum applies to each item of a list.
+# A Literal is one of its strings; int excludes booleans; a Fraction is a
+# rational (see parse_rational) in (0, 1]; a float is a number in (0, 1);
+# a list holds at least one value and none twice; `X | list[X]` also takes
+# a single X. A minimum applies to each item of a list.
 FIELDS: dict[str, dict[str, tuple[Any, int | None]]] = {
-    "domain": {"kind": (str, None), "size": (int, 1)},
+    "domain": {"kind": (Literal["naturals", "calkin-wilf", "finite"], None), "size": (int, 1)},
     "tower": {"depth": (int, 0), "seed": (int, None)},
-    "scheme": {"kind": (str, None), "m": (int, 0)},
+    "scheme": {"kind": (Literal["enumeration", "tower", "identity-eta"], None), "m": (int, 0)},
     "learner": {"cap": (int, 1)},
-    "distribution": {"kind": (str, None), "lo": (int, None), "hi": (int, None),
-                     "masses": (dict[str, Fraction], None)},
+    "distribution": {"kind": (Literal["uniform-range", "explicit"], None), "lo": (int, None),
+                     "hi": (int, None), "masses": (dict[str, Fraction], None)},
     "evaluate": {"m": (int | list[int], 0), "epsilon": (Fraction | list[Fraction], None),
                  "trials": (int, 1), "seed": (int, None), "confidence": (float, None),
                  "per_trial": (bool, None)},
-    "verify": {"mode": (str, None), "count": (int, 0), "samples": (int, 1),
-               "seed": (int, None), "pool": (int, 0)},
+    "verify": {"mode": (Literal["exhaustive", "random"], None), "count": (int, 0),
+               "samples": (int, 1), "seed": (int, None), "pool": (int, 0)},
     "descend": {"x_size": (int, 0), "y_size": (int, 0), "y": (list[int], None)},
     "compress": {"points": (list[int], None)},
 }
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", float: "a number"}
+_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number"}
 
 _REQUIRED = object()
 
@@ -78,16 +79,30 @@ def _check_field(where: str, kind: Any, minimum: int | None, value: Any) -> Any:
         kind = get_args(kind)[1]
         value = value if isinstance(value, list) else [value]
     container = get_origin(kind)
+    if container is Literal:
+        choices = get_args(kind)
+        if value not in choices:
+            raise ConfigError(f"{where} must be one of {', '.join(choices)}, got {value!r}")
+        return value
     if container is not None:
         if not isinstance(value, container):
             noun = "a list" if container is list else "an object"
             raise ConfigError(f"{where} must be {noun}, got {value!r}")
         item = get_args(kind)[-1]
-        if container is list:
-            return [_check_field(where, item, minimum, v) for v in value]
-        return {k: _check_field(f"{where}[{k}]", item, minimum, v) for k, v in value.items()}
+        if container is dict:
+            return {k: _check_field(f"{where}[{k}]", item, minimum, v) for k, v in value.items()}
+        items = [_check_field(where, item, minimum, v) for v in value]
+        if not items:
+            raise ConfigError(f"{where} must hold at least one value")
+        if len(set(items)) < len(items):  # parsed, so "1/4" and "2/8" are one value
+            twice = next(v for i, v in enumerate(items) if v in items[:i])
+            raise ConfigError(f"{where} must hold distinct values, got {twice} twice")
+        return items
     if kind is Fraction:
-        return parse_rational(value, where)
+        value = parse_rational(value, where)
+        if not 0 < value <= 1:
+            raise ConfigError(f"{where} must be in (0, 1], got {format_rational(value)}")
+        return value
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
@@ -114,13 +129,10 @@ class ExperimentConfig:
         return got
 
     def build_domain(self) -> Domain:
-        kind = self.field("domain", "kind")
-        # calkin-wilf names the same ids, read as rationals by fraction_at
-        if kind in ("naturals", "calkin-wilf"):
-            return naturals_domain()
-        if kind == "finite":
+        # calkin-wilf names the same ids as naturals, read as rationals by fraction_at
+        if self.field("domain", "kind") == "finite":
             return FiniteDomain(size=self.field("domain", "size"))
-        raise ConfigError(f"{self.path}: unknown domain kind {kind!r}")
+        return naturals_domain()
 
     def build_tower(self, domain: Domain) -> OrderTower:
         if domain.size is None:
@@ -135,9 +147,7 @@ class ExperimentConfig:
             return enumeration_scheme(tower)
         if kind == "tower":
             return tower_scheme(tower)
-        if kind == "identity-eta":
-            return identity_eta_scheme(self.field("scheme", "m", 1))
-        raise ConfigError(f"{self.path}: unknown scheme kind {kind!r}")
+        return identity_eta_scheme(self.field("scheme", "m", 1))
 
     def build_distribution(self) -> FiniteSupportDistribution:
         """The configured distribution, after the domain its support must
@@ -149,7 +159,7 @@ class ExperimentConfig:
             if hi < lo:
                 raise ConfigError(f"{self.path}: distribution range is empty")
             dist = FiniteSupportDistribution.uniform(range(lo, hi + 1))
-        elif kind == "explicit":
+        else:
             masses = {}
             for key, mass in self.field("distribution", "masses").items():
                 try:
@@ -165,8 +175,6 @@ class ExperimentConfig:
                 dist = FiniteSupportDistribution(masses)
             except ValueError as err:
                 raise ConfigError(f"{self.path}: {err}") from None
-        else:
-            raise ConfigError(f"{self.path}: unknown distribution kind {kind!r}")
         outside = [pid for pid in dist.support if pid < 0 or size is not None and pid >= size]
         if outside:
             raise ConfigError(
@@ -181,9 +189,10 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a config file and check every field against FIELDS: unknown
-    sections and fields, wrong JSON types and values below a minimum are
-    ConfigErrors naming the field, and so is a key repeated in one JSON
-    object. JSON errors carry line and column."""
+    sections and fields, wrong JSON types, strings outside a field's
+    choices, values below a minimum or outside (0, 1], and empty or
+    repeating lists are ConfigErrors naming the field, and so is a key
+    repeated in one JSON object. JSON errors carry line and column."""
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         obj: dict[str, Any] = {}

@@ -133,6 +133,15 @@ class TestCountingBound:
         assert counting_refutes(SearchProblem(5, 1, 2))
         assert not counting_refutes(SearchProblem(5, 1, 3))
 
+    def test_closed_form_equals_binomial_form(self):
+        # C(n, m+1) > C(n, m) * (budget - m), the slots the docstring counts
+        for n in range(2, 41):
+            for m in range(n):
+                for budget in range(1, n + 3):
+                    problem = SearchProblem(n, m, budget)
+                    binomial = comb(n, m + 1) > comb(n, m) * max(0, budget - m)
+                    assert counting_refutes(problem) == binomial, problem
+
     def test_bound_is_exact_on_enumerable_grid(self, first_assignments):
         for (n, m, budget), first in first_assignments.items():
             problem = SearchProblem(n, m, budget)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin
+from typing import Literal, get_args, get_origin
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ import emx
 import emx.cli
 from emx.analysis import SearchProblem, counting_refutes
 from emx.cli import SEARCH_SUBSET_LIMIT, main
-from emx.config import FIELDS
+from emx.config import FIELDS, ExperimentConfig, load_config, parse_rational
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -255,13 +255,14 @@ class TestEvaluate:
             ({"confidence": 0}, "evaluate.confidence must be in (0, 1), got 0"),
             ({"m": [4, -1]}, "evaluate.m must be >= 0, got -1"),
             ({"trials": "many"}, "evaluate.trials must be an integer, got 'many'"),
-            ({"epsilon": ["5/4", "-1/2"]}, "evaluate.epsilon must be in (0, 1], got -1/2"),
+            ({"epsilon": ["5/4", "-1/2"]}, "evaluate.epsilon must be in (0, 1], got 5/4"),
             ({"epsilon": ["1/4", "5/4"]}, "evaluate.epsilon must be in (0, 1], got 5/4"),
             ({"epsilon": "0"}, "evaluate.epsilon must be in (0, 1], got 0/1"),
             ({"m": [4, 4]}, "evaluate.m must hold distinct values, got 4 twice"),
             ({"epsilon": ["1/4", "2/8"]}, "evaluate.epsilon must hold distinct values, got 1/4 twice"),
             ({"m": [4, 4], "epsilon": ["1/4", "2/8"]},
              "evaluate.m must hold distinct values, got 4 twice"),
+            ({"m": []}, "evaluate.m must hold at least one value"),
         ],
     )
     def test_bad_settings_exit_two_before_any_trial(self, tmp_path, monkeypatch, capsys,
@@ -371,6 +372,14 @@ class TestSearch:
     def test_tight_seven_point_case_exits_zero(self, capsys):
         assert main(["search", "7", "2", "4"]) == 0
         assert capsys.readouterr().out.startswith("SAT")
+
+    def test_unsat_computes_no_binomial(self, monkeypatch, capsys):
+        def no_comb(*args):
+            raise AssertionError("a binomial computed for a problem the bound refutes")
+
+        monkeypatch.setattr(emx.cli, "comb", no_comb)
+        assert main(["search", "200000", "100000", "3"]) == 1
+        assert capsys.readouterr().out == "UNSAT (counting bound; 0 nodes)\n"
 
 
 class TestDescend:
@@ -627,12 +636,12 @@ class TestExitCodes:
             ),
             pytest.param(
                 "descend", {**NATURALS, "descend": {"x_size": 50, "y": [1, 1, 2, 3]}},
-                "descend.y must hold distinct ids, got [1, 1, 2, 3]",
+                "descend.y must hold distinct values, got 1 twice",
                 id="descend-y-repeated-id",
             ),
             pytest.param(
                 "compress", {**NATURALS, "compress": {"points": [3, 3, 5]}},
-                "compress.points must hold distinct ids, got [3, 3, 5]",
+                "compress.points must hold distinct values, got 3 twice",
                 id="compress-points-repeated-id",
             ),
             pytest.param(
@@ -814,6 +823,29 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("under_file", [True, False], ids=["under-a-file", "is-a-file"])
+    @pytest.mark.parametrize("command", ["verify", "evaluate", "search", "descend", "compress"])
+    def test_out_path_that_cannot_be_created_exits_two(self, tmp_path, capsys, command,
+                                                       under_file):
+        argv = {
+            "verify": ["verify", cw_verify_config(tmp_path, count=6)],
+            "evaluate": ["evaluate", tank_eval_config(tmp_path, trials=5)],
+            "search": ["search", "5", "1", "3"],
+            "descend": ["descend", str(CONFIGS / "descend_enumeration.json")],
+            "compress": ["compress", str(CONFIGS / "compress_demo.json")],
+        }[command]
+        blocker = tmp_path / "F"
+        blocker.write_text("a file\n")
+        argv += ["--out", str(blocker / "x" if under_file else blocker)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        run = run_cli_process(argv)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert blocker.read_text() == "a file\n"
+
     def test_unexpected_exceptions_propagate(self, monkeypatch):
         def broken(args):
             raise AssertionError("a bug, not bad input")
@@ -927,14 +959,6 @@ class TestDeterminism:
             assert read_all_outputs(first) == read_all_outputs(second)
 
 
-# Values of the string fields that reach the builders; any other string is
-# drawn as an arbitrary JSON value.
-FIELD_WORDS = {
-    ("domain", "kind"): ["naturals", "calkin-wilf", "finite"],
-    ("scheme", "kind"): ["enumeration", "tower", "identity-eta"],
-    ("distribution", "kind"): ["uniform-range", "explicit"],
-    ("verify", "mode"): ["exhaustive", "random"],
-}
 SMALL_INTS = st.integers(-2, 12)
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
@@ -953,22 +977,25 @@ FIELD_NAMES = [(section, name) for section, fields in FIELDS.items() for name in
 
 
 def valid_values(section, name, kind=None):
-    """Values a FIELDS entry accepts, with integers from -2 (or the
-    field's minimum) to 12."""
+    """Values a FIELDS entry accepts: a Literal's own strings, integers
+    from -2 (or the field's minimum) to 12, rationals in (0, 1] with
+    denominators up to 12, and lists that repeat no value."""
     given, minimum = FIELDS[section][name]
     kind = given if kind is None else kind
     if isinstance(kind, UnionType):
         return st.one_of(*(valid_values(section, name, k) for k in get_args(kind)))
+    if get_origin(kind) is Literal:
+        return st.sampled_from(get_args(kind))
     if get_origin(kind) is list:
-        return st.lists(valid_values(section, name, get_args(kind)[0]), min_size=1, max_size=3)
+        return st.lists(valid_values(section, name, get_args(kind)[0]), min_size=1, max_size=3,
+                        unique_by=parse_rational)
     if get_origin(kind) is dict:
         return st.dictionaries(SMALL_INTS.map(str), valid_values(section, name, Fraction),
                                max_size=4)
     if kind is Fraction:
-        pairs = st.tuples(SMALL_INTS, st.integers(1, 12)).map(list)
-        return SMALL_INTS | pairs | pairs.map(lambda p: f"{p[0]}/{p[1]}")
-    if kind is str:
-        return st.sampled_from(FIELD_WORDS[section, name])
+        pairs = st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(1, d), st.just(d)))
+        pairs = pairs.map(list)
+        return st.just(1) | pairs | pairs.map(lambda p: f"{p[0]}/{p[1]}")
     if kind is bool:
         return st.booleans()
     if kind is float:
@@ -1010,3 +1037,78 @@ class TestFuzzedConfigs:
         assert code in (0, 1, 2, 3)
         if code:
             assert stderr.getvalue().count("\n") <= 1
+
+
+# Every section, each with the fields that any choice of a Literal field
+# needs, on a domain that every domain and scheme kind accepts.
+ALL_SECTIONS = {
+    "schema": "emx-experiment/1",
+    "domain": {"kind": "finite", "size": 10},
+    "tower": {"depth": 0, "seed": 1},
+    "scheme": {"kind": "enumeration"},
+    "learner": {"cap": 100},
+    "distribution": {"kind": "uniform-range", "lo": 1, "hi": 4,
+                     "masses": {"1": "1/2", "2": "1/2"}},
+    "evaluate": {"m": [3], "epsilon": ["1/4"], "trials": 5},
+    "verify": {"count": 6, "pool": 6, "samples": 5},
+    "descend": {"y_size": 3},
+    "compress": {"points": [1, 2]},
+}
+LITERAL_FIELDS = [(section, name, get_args(kind)) for section, fields in FIELDS.items()
+                  for name, (kind, _) in fields.items() if get_origin(kind) is Literal]
+
+
+def with_field(tmp_path, section, name, value):
+    config = json.loads(json.dumps(ALL_SECTIONS))
+    config[section][name] = value
+    return write_config(tmp_path, config)
+
+
+class TestFieldTable:
+    """The Literal fields of FIELDS and the code that reads them agree:
+    every choice builds or runs, and any other string stops every command
+    at load, whether or not the command reads that section."""
+
+    @pytest.mark.parametrize(
+        "section, name, choice",
+        [(section, name, choice) for section, name, choices in LITERAL_FIELDS
+         for choice in choices],
+    )
+    def test_every_choice_builds_or_runs(self, tmp_path, capsys, section, name, choice):
+        path = with_field(tmp_path, section, name, choice)
+        if section == "verify":
+            out = tmp_path / "out"
+            assert main(["verify", path, "--out", str(out)]) == 0
+            assert (out / "soundness.csv").exists()
+            return
+        cfg = load_config(path)
+        build = {"domain": cfg.build_domain, "scheme": cfg.build_scheme,
+                 "distribution": cfg.build_distribution}[section]
+        assert build() is not None
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SECTIONS))
+    @pytest.mark.parametrize("section, name, choices", LITERAL_FIELDS,
+                             ids=[f"{s}.{n}" for s, n, _ in LITERAL_FIELDS])
+    def test_other_strings_exit_two_at_load(self, tmp_path, monkeypatch, capsys, command,
+                                            section, name, choices):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a builder ran on an invalid config")
+
+        monkeypatch.setattr(ExperimentConfig, "build_domain", no_build)
+        out = tmp_path / "out"
+        assert main([command, with_field(tmp_path, section, name, "bogus"), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"{section}.{name} must be one of {', '.join(choices)}, got 'bogus'\n"
+        )
+        assert not out.exists()
+
+    def test_a_section_the_command_does_not_read_is_checked(self, tmp_path, capsys):
+        config = json.loads(Path(cw_verify_config(tmp_path, count=6)).read_text())
+        config["evaluate"] = {"m": [4, 4], "epsilon": ["1/4"]}
+        out = tmp_path / "out"
+        assert main(["verify", write_config(tmp_path, config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "evaluate.m must hold distinct values, got 4 twice\n"
+        )
+        assert not out.exists()

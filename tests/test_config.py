@@ -63,6 +63,25 @@ class TestLoadConfig:
             cfg.build_domain()
         assert "domain.kind" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("verify", {"mode": 3}, "verify.mode must be one of exhaustive, random, got 3"),
+            ("compress", {"points": []}, "compress.points must hold at least one value"),
+            ("descend", {"y": [2, 5, 2]}, "descend.y must hold distinct values, got 2 twice"),
+            ("evaluate", {"epsilon": [[1, 3], "2/6"]},
+             "evaluate.epsilon must hold distinct values, got 1/3 twice"),
+            ("distribution", {"masses": {"1": "0", "2": 1}},
+             "distribution.masses[1] must be in (0, 1], got 0/1"),
+            ("distribution", {"masses": {"1": [3, 2]}},
+             "distribution.masses[1] must be in (0, 1], got 3/2"),
+        ],
+    )
+    def test_value_rules_hold_at_load(self, tmp_path, section, value, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, {**BASE, section: value}))
+        assert str(err.value).endswith(message)
+
 
 class TestBuilders:
     def test_domains(self, tmp_path):
@@ -77,9 +96,11 @@ class TestBuilders:
         assert isinstance(dom, FiniteDomain) and dom.size == 12
 
     def test_unknown_kinds(self, tmp_path):
-        cfg = load_config(write(tmp_path, {**BASE, "domain": {"kind": "reals"}}))
-        with pytest.raises(ConfigError):
-            cfg.build_domain()
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, {**BASE, "domain": {"kind": "reals"}}))
+        assert "domain.kind must be one of naturals, calkin-wilf, finite, got 'reals'" in str(
+            err.value
+        )
 
     def test_tower_needed_for_finite_domains(self, tmp_path):
         cfg = load_config(
