@@ -63,6 +63,7 @@ def compress_kernel(
     points: Iterable[int],
     scheme: MonotoneScheme,
     steps: list[tuple[frozenset[int], int]] | None = None,
+    memo: dict[tuple[frozenset[int], int], frozenset[int]] | None = None,
 ) -> frozenset[int]:
     """Compress a point set to a kernel of scheme.m points; when a steps
     list is given, append each (sigma input, ejected point) step to it.
@@ -71,6 +72,14 @@ def compress_kernel(
     Any policy round-trips (decompression unions over all d-subsets);
     fixing one makes traces replayable. Sorting once suffices: the kept
     points precede every point not yet fed, which enter in id order.
+
+    A step depends only on the kept points and the next point, so a memo,
+    when given, maps each (kept, pid) already stepped to
+    sigma(kept | {pid}) and is read before sigma is called. A memo belongs
+    to one scheme and is filled by every call that passes it; the caller
+    bounds it. sigma's checks run on every step not yet in the memo, and
+    a step whose sigma raises is not stored. The steps and the kernel are
+    the same with or without a memo, cold or warm.
     """
     order = sorted(frozenset(points))
     d = scheme.m
@@ -78,11 +87,19 @@ def compress_kernel(
         raise ValueError(f"need at least {d} distinct points, got {len(order)}")
     kept = frozenset(order[:d])
     for pid in order[d:]:
-        beta = kept | {pid}
-        kept = scheme.sigma(beta)
+        beta = None
+        new = None if memo is None else memo.get((kept, pid))
+        if new is None:
+            beta = kept | {pid}
+            new = scheme.sigma(beta)
+            if memo is not None:
+                memo[kept, pid] = new
         if steps is not None:
-            (ejected,) = beta - kept
+            if beta is None:
+                beta = kept | {pid}
+            (ejected,) = beta - new
             steps.append((beta, ejected))
+        kept = new
     return kept
 
 

@@ -39,6 +39,9 @@ EXHAUSTIVE_SUBSET_LIMIT = 200_000
 COUNTABLE_POOL_LIMIT = 1_000
 DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000
+# Each evaluate trial draws max(m) points into one list: at m = 4 000 000
+# three trials took 4 s and peaked at 111 MB RSS (Python 3.11).
+EVALUATE_M_LIMIT = 100_000
 
 
 def _write_text(path: str, text: str) -> None:
@@ -103,6 +106,10 @@ def cmd_evaluate(args) -> int:
     dist = cfg.build_distribution()
 
     m_values = cfg.field("evaluate", "m")
+    if max(m_values) > EVALUATE_M_LIMIT:
+        raise ConfigError(
+            f"{cfg.path}: evaluate.m of {max(m_values)} is above the {EVALUATE_M_LIMIT} guard"
+        )
     epsilons = cfg.field("evaluate", "epsilon")
     trials = cfg.field("evaluate", "trials", 1000)
     seed = cfg.field("evaluate", "seed", 0)

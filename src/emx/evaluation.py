@@ -22,6 +22,10 @@ from .core import expectation  # noqa: F401  perfbench/tracer.py wraps it under 
 from .schemes import MonotoneScheme, SchemeError
 from .seeds import split_seed
 
+# Point ids that evaluate_grid's sample memo, and its step memo, may each
+# hold in their keys before the memo is cleared.
+EVALUATE_MEMO_POINTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class EmxLearner:
@@ -38,17 +42,6 @@ class EmxLearner:
             raise ValueError("kernel size d must equal the scheme arity m")
 
 
-def _compress_sample(
-    learner: EmxLearner, distinct: frozenset[int]
-) -> tuple[frozenset[int], int] | None:
-    """The (kernel, rounds) the learner reconstructs a sample from, given
-    the sample's distinct points; None when there are fewer than d of them
-    and the sample itself is the hypothesis."""
-    if len(distinct) < learner.d:
-        return None
-    return compress_kernel(distinct, learner.scheme), len(distinct) - learner.d
-
-
 def apply_learner(learner: EmxLearner, draws: Iterable[int]) -> frozenset[int]:
     """Hypothesis for one sample's draws; always finite.
 
@@ -58,11 +51,10 @@ def apply_learner(learner: EmxLearner, draws: Iterable[int]) -> frozenset[int]:
     sound). Reconstruction-cap overruns propagate as ResourceLimitError.
     """
     distinct = frozenset(draws)
-    compressed = _compress_sample(learner, distinct)
-    if compressed is None:
+    if len(distinct) < learner.d:
         return distinct
-    kernel, rounds = compressed
-    return decompress_chain(kernel, learner.scheme, rounds, learner.cap)
+    kernel = compress_kernel(distinct, learner.scheme)
+    return decompress_chain(kernel, learner.scheme, len(distinct) - learner.d, learner.cap)
 
 
 @dataclass(frozen=True)
@@ -105,6 +97,36 @@ def normal_quantile(p: float) -> float:
     return (lo + hi) / 2
 
 
+def _learned_weight(
+    learner: EmxLearner,
+    dist: FiniteSupportDistribution,
+    distinct: frozenset[int],
+    steps: dict[tuple[frozenset[int], int], frozenset[int]],
+    kernels: dict[tuple[frozenset[int], int], int | ResourceLimitError],
+) -> int | ResourceLimitError:
+    """Captured weight of the learner's hypothesis on a sample's distinct
+    points, or the cap error its decompression hit, through evaluate_grid's
+    step and kernel memos; the step memo is cleared first once its keys
+    hold EVALUATE_MEMO_POINTS point ids."""
+    if len(distinct) < learner.d:
+        return dist.captured_weight(distinct)
+    if len(steps) * (learner.d + 1) >= EVALUATE_MEMO_POINTS:
+        steps.clear()
+    kernel = compress_kernel(distinct, learner.scheme, memo=steps)
+    rounds = len(distinct) - learner.d
+    weight = kernels.get((kernel, rounds))
+    if weight is None:
+        try:
+            weight = dist.captured_weight(
+                decompress_chain(kernel, learner.scheme, rounds, learner.cap)
+            )
+        except ResourceLimitError as err:
+            # kept without its traceback, which holds the decompression's frames
+            weight = err.with_traceback(None)
+        kernels[kernel, rounds] = weight
+    return weight
+
+
 def evaluate(
     learner: EmxLearner,
     dist: FiniteSupportDistribution,
@@ -139,23 +161,36 @@ def evaluate_grid(
     draw of m points from the same seed gives, so every cell equals a run
     of that cell alone, and identical arguments reproduce the reports
     exactly. The cells share their trials' draws, so their rates are
-    correlated, not independent. Each (trial, m) is compressed and
-    measured once; every epsilon only moves the threshold on its captured
-    weight.
+    correlated, not independent. Each (trial, m) is learned at most once;
+    every epsilon only moves the threshold on its captured weight.
 
     Learner errors (reconstruction cap) are counted separately, never
     dropped; a cell's failure rate is over its completed trials. The
-    hypothesis is finite by construction, and every (trial, m) checks that
-    it captures at least the sample's own distinct mass, which a sound
+    hypothesis is finite by construction, and each distinct set is checked
+    to capture at least its own mass, which a sound
     scheme guarantees because the reconstruction contains the sample; an
     unsound scheme raises SchemeError naming the first such trial and m.
 
     Each sample is compressed to its kernel alone, without recording
     steps or building a CompressionTrace, which only `emx compress` needs.
     Masses are compared as integer weights over the common denominator.
-    A memo for the whole run, keyed by (kernel, rounds), keeps each
-    kernel's captured weight or cap error, so no kernel is decompressed
-    twice. TrialRecords are built only with keep_records.
+    The learner's hypothesis depends only on the sample's distinct set,
+    so three memos for the whole run share its work across trials:
+    - the sample memo maps each distinct set already learned to its
+      captured weight or its cap error, and is read before anything else
+      is computed for a (trial, m); a set is stored only after its floor
+      check passed;
+    - the step memo, passed to compress_kernel, maps each compression
+      step (kept points, next point) to sigma's output;
+    - the kernel memo, keyed by (kernel, rounds), keeps each kernel's
+      captured weight or cap error, so no kernel is decompressed twice.
+    The sample and step memos are each cleared once their keys hold
+    EVALUATE_MEMO_POINTS point ids: the sample memo before an insert, the
+    step memo before a sample is compressed. So every check still runs
+    once per distinct input: sigma's on each new step, the floor on each
+    new distinct set. Errors other than the cap error are raised, never
+    stored, so an unsound scheme raises at the same trial and m.
+    TrialRecords are built only with keep_records.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -174,7 +209,10 @@ def evaluate_grid(
     # captured <= 1 - eps  iff  weight * (1 - eps).den <= (1 - eps).num * D
     limits = [((1 - eps).denominator, (1 - eps).numerator * denom) for eps in epsilons]
     largest = m_values[-1]
-    memo: dict[tuple[frozenset[int], int], int | ResourceLimitError] = {}
+    samples: dict[frozenset[int], int | ResourceLimitError] = {}
+    sample_points = 0  # point ids held in the sample memo's keys
+    steps: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+    kernels: dict[tuple[frozenset[int], int], int | ResourceLimitError] = {}
     failures = [[0] * len(epsilons) for _ in m_values]
     errors = [0] * len(m_values)
     # per m, one (index, seed, weight or error text) per trial; kept only for records
@@ -185,31 +223,25 @@ def evaluate_grid(
         draws = draw_sample(dist, largest, child)
         for cell, m in enumerate(m_values):
             distinct = frozenset(draws if m == largest else draws[:m])
-            floor = dist.captured_weight(distinct)
-            compressed = _compress_sample(learner, distinct)
-            if compressed is None:
-                weight = floor
-            else:
-                weight = memo.get(compressed)
-                if weight is None:
-                    kernel, rounds = compressed
-                    try:
-                        weight = dist.captured_weight(
-                            decompress_chain(kernel, learner.scheme, rounds, learner.cap)
-                        )
-                    except ResourceLimitError as err:
-                        # kept without its traceback, which holds the decompression's frames
-                        weight = err.with_traceback(None)
-                    memo[compressed] = weight
-                if isinstance(weight, ResourceLimitError):
-                    errors[cell] += 1
-                    if keep_records:
-                        outcomes[cell].append((index, child, str(weight)))
-                    continue
-            if weight < floor:
-                raise SchemeError(
-                    f"trial {index}, m={m}: hypothesis lost sample mass (scheme unsound)"
-                )
+            weight = samples.get(distinct)
+            if weight is None:
+                weight = _learned_weight(learner, dist, distinct, steps, kernels)
+                if not isinstance(weight, ResourceLimitError) and (
+                    weight < dist.captured_weight(distinct)
+                ):
+                    raise SchemeError(
+                        f"trial {index}, m={m}: hypothesis lost sample mass (scheme unsound)"
+                    )
+                if sample_points >= EVALUATE_MEMO_POINTS:
+                    samples.clear()
+                    sample_points = 0
+                samples[distinct] = weight
+                sample_points += len(distinct)
+            if isinstance(weight, ResourceLimitError):
+                errors[cell] += 1
+                if keep_records:
+                    outcomes[cell].append((index, child, str(weight)))
+                continue
             for k, (tden, limit) in enumerate(limits):
                 failures[cell][k] += weight * tden <= limit
             if keep_records:

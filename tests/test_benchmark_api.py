@@ -4,11 +4,14 @@ imported package. Renaming or deleting one of those names breaks the
 benchmark, not the library's own tests, so these checks pin them."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import emx
 import emx.cli  # noqa: F401  (the workloads call lib.cli.main)
@@ -85,3 +88,28 @@ def test_repeated_cli_ops_match(tmp_path, monkeypatch):
     runs = [[op.check(op.run(*op.prepare())) for op in picked] for _ in range(2)]
     assert runs[0] == runs[1]
     assert [status for status, _ in runs[0]] == ["ok"] * len(picked)
+
+
+# Round 0 of each workload on seed 1, as `perfbench/run.py` prints it on
+# its `output_digest` line. A change that keeps every output byte-identical
+# keeps these.
+ROUND0_DIGESTS = {
+    "tank-mc": "556fb58f52f288791e6e3f016717831fc979241901c4f56a96b5cc974463a2dc",
+    "proxy-chain": "6af814d483922f40f72d2d112cc079b2137e719384aea0f7b13076577b41c321",
+    "cli-audit": "69716251527f5e0b5bf055ace56931e3eac31e2e50e1e19e2b4600805790e9c6",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ROUND0_DIGESTS))
+def test_round0_output_digest(workload, tmp_path, monkeypatch):
+    """Every op of round 0 passes its check, and the round's outputs hash
+    as run.py hashes them: each op's label, a newline, its check output
+    and a newline, in op order."""
+    workloads = load_perfbench("workloads")
+    monkeypatch.chdir(ROOT)  # cli-audit names the shipped configs by relative path
+    digest = hashlib.sha256()
+    for op in workloads.WORKLOADS[workload](emx, 1, 0, str(tmp_path)):
+        status, output = op.check(op.run(*op.prepare()))
+        assert status == "ok", op.label
+        digest.update(op.label.encode() + b"\n" + output + b"\n")
+    assert digest.hexdigest() == ROUND0_DIGESTS[workload]

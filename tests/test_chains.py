@@ -142,6 +142,29 @@ class TestCompressKernel:
         trace = compress_chain(points, scheme)
         assert (tuple(steps), kernel) == (trace.steps, trace.kernel)
 
+    @given(kernel_cases())
+    @settings(max_examples=200)
+    def test_memo_keeps_the_kernel_and_steps(self, case):
+        """No memo, a cold memo and a memo warmed by this set and by a
+        subset of it give the same kernel, or error, and the same steps. A
+        cold memo stores exactly the steps sigma completed."""
+        points, scheme = case
+
+        def run(memo):
+            steps = []
+            outcome = kernel_outcome(lambda p, s: compress_kernel(p, s, steps, memo), points, scheme)
+            return outcome, steps
+
+        want = run(None)
+        memo = {}
+        assert run(memo) == want
+        # each step feeds sigma the kept points and a larger next id
+        assert memo == {(beta - {max(beta)}, max(beta)): beta - {ejected}
+                        for beta, ejected in want[1]}
+        assert run(memo) == want
+        kernel_outcome(lambda p, s: compress_kernel(p[: len(p) // 2], s, None, memo), points, scheme)
+        assert run(memo) == want
+
 
 class TestDecompressChain:
     def test_zero_iterations_is_plain_eta(self):

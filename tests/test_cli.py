@@ -13,13 +13,13 @@ from types import UnionType
 from typing import Literal, get_args, get_origin
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emx
 import emx.cli
 from emx.analysis import SearchProblem, counting_refutes
-from emx.cli import SEARCH_SUBSET_LIMIT, main
+from emx.cli import EVALUATE_M_LIMIT, SEARCH_SUBSET_LIMIT, main
 from emx.config import FIELDS, ExperimentConfig, load_config, parse_rational
 
 
@@ -326,6 +326,19 @@ class TestEvaluate:
         cfg = write_config(tmp_path, {**cfg, "learner": {"cap": cap}})
         exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys,
                                    f"learner.cap must be >= 1, got {cap}")
+
+    @pytest.mark.parametrize("m", [[EVALUATE_M_LIMIT + 1], [2, 1_000_000_000]])
+    def test_sample_size_above_the_guard_exits_two(self, tmp_path, monkeypatch, capsys, m):
+        cfg = tank_eval_config(tmp_path, m=m)
+        exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys,
+                                   f"evaluate.m of {max(m)} is above the {EVALUATE_M_LIMIT} guard")
+
+    def test_sample_size_at_the_guard_runs(self, tmp_path):
+        cfg = tank_eval_config(tmp_path, trials=1, m=[EVALUATE_M_LIMIT])
+        out = tmp_path / "out"
+        assert main(["evaluate", cfg, "--out", str(out)]) == 0
+        assert (out / "evaluation.csv").read_text().splitlines()[1].startswith(
+            f"{EVALUATE_M_LIMIT},1/4,1,1,")
 
 
 class TestSearch:
@@ -1010,7 +1023,9 @@ class TestFuzzedConfigs:
     half of the examples up to three fields hold any JSON value instead,
     and now and then so does a whole section or the schema tag."""
 
-    @settings(max_examples=300)
+    # too_slow times input generation, not the program, so a loaded machine
+    # can trip it; it is suppressed here too for runs outside pytest's conftest
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_exit_code_contract(self, data):
         command = data.draw(st.sampled_from(sorted(COMMAND_SECTIONS)))

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,13 @@ from emx.core import (
     naturals_domain,
 )
 from emx.evaluation import EmxLearner, apply_learner, evaluate, evaluate_grid, normal_quantile
-from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
+from emx.schemes import (
+    MonotoneScheme,
+    SchemeError,
+    enumeration_scheme,
+    identity_eta_scheme,
+    tower_scheme,
+)
 from emx.seeds import split_seed
 from emx.towers import enumerated_tower, finite_proxy_tower
 from oracles import draw_sample_reference, evaluate_reference, max_estimator
@@ -255,35 +262,120 @@ def evaluation_cases(draw):
     return learner, dist, m_values, epsilons, trials, seed
 
 
+def assert_matches_reference(case):
+    """evaluate_grid with records equals the per-trial reference run cell
+    by cell, or raises the SchemeError the reference raises first."""
+    learner, dist, m_values, epsilons, trials, seed = case
+    cells = [(m, eps) for m in sorted(m_values) for eps in sorted(epsilons)]
+    wants, losses = [], []
+    for m, eps in cells:
+        try:
+            wants.append(evaluate_reference(learner, dist, m, eps, trials, seed))
+        except SchemeError as err:
+            trial = int(re.match(r"trial (\d+), m=", str(err)).group(1))
+            losses.append((trial, m, str(err)))
+    if losses:
+        # trials run trial-major, m ascending: the first lost (trial, m) raises
+        with pytest.raises(SchemeError) as got:
+            evaluate_grid(*case, keep_records=True)
+        assert str(got.value) == min(losses)[2]
+        return None
+    reports = evaluate_grid(*case, keep_records=True)
+    assert [(r.m, r.epsilon) for r in reports] == cells
+    for report, want in zip(reports, wants):
+        assert report.records == tuple(want)
+        errors = sum(1 for r in want if r.error is not None)
+        failures = sum(1 for r in want if r.failed)
+        completed = len(want) - errors
+        assert (report.completed, report.failures, report.errors) == (
+            completed, failures, errors)
+        assert report.failure_rate == (Fraction(failures, completed) if completed else 0)
+    return reports
+
+
+@st.composite
+def repeating_cases(draw):
+    """Grids whose trials repeat distinct sets: the tank learner or
+    identity eta on at most six support points of 0..11, or a depth-1
+    proxy tower on 4..10 points, with a cap that often cuts its
+    decompressions short."""
+    kind = draw(st.sampled_from(["naturals", "tower", "identity-eta"]))
+    if kind == "tower":
+        n = draw(st.integers(4, 10))
+        tower = finite_proxy_tower(FiniteDomain(size=n), 1, draw(st.integers(0, 2**32)))
+        cap = draw(st.one_of(st.just(DEFAULT_CAP), st.integers(2, n)))
+        learner, ids = EmxLearner(tower_scheme(tower), d=2, cap=cap), range(n)
+    elif kind == "naturals":
+        learner, ids = tank_learner(), range(12)
+    else:
+        learner, ids = EmxLearner(identity_eta_scheme(1), d=1), range(12)
+    dist = draw(distributions(ids))
+    epsilons = draw(st.lists(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+                             min_size=1, max_size=2, unique=True))
+    m_values = draw(st.lists(st.integers(0, 10), min_size=1, max_size=3, unique=True))
+    trials = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return learner, dist, m_values, epsilons, trials, seed
+
+
 class TestEvaluateOracle:
     @given(evaluation_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_trial_fraction_loop(self, case):
-        learner, dist, m_values, epsilons, trials, seed = case
-        cells = [(m, eps) for m in sorted(m_values) for eps in sorted(epsilons)]
-        wants, losses = [], []
-        for m, eps in cells:
-            try:
-                wants.append(evaluate_reference(learner, dist, m, eps, trials, seed))
-            except SchemeError as err:
-                trial = int(re.match(r"trial (\d+), m=", str(err)).group(1))
-                losses.append((trial, m, str(err)))
-        if losses:
-            # trials run trial-major, m ascending: the first lost (trial, m) raises
-            with pytest.raises(SchemeError) as got:
-                evaluate_grid(*case, keep_records=True)
-            assert str(got.value) == min(losses)[2]
-            return
-        reports = evaluate_grid(*case, keep_records=True)
-        assert [(r.m, r.epsilon) for r in reports] == cells
-        for report, want in zip(reports, wants):
-            assert report.records == tuple(want)
-            errors = sum(1 for r in want if r.error is not None)
-            failures = sum(1 for r in want if r.failed)
-            completed = len(want) - errors
-            assert (report.completed, report.failures, report.errors) == (
-                completed, failures, errors)
-            assert report.failure_rate == (Fraction(failures, completed) if completed else 0)
+        assert_matches_reference(case)
+
+    @given(repeating_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_memos_match_the_reference_at_any_budget(self, case):
+        """The sample and step memos change no record, no count and no
+        error, also at a budget of one point id, which clears each memo
+        before nearly every insert."""
+        reports = assert_matches_reference(case)
+        with patch.object(emx.evaluation, "EVALUATE_MEMO_POINTS", 1):
+            cleared = assert_matches_reference(case)
+        assert repr(cleared) == repr(reports)  # repr, as an all-error cell's half-width is nan
+
+    @pytest.mark.parametrize("learner, support", [
+        (tank_learner(), range(1, 9)),
+        (EmxLearner(tower_scheme(finite_proxy_tower(FiniteDomain(size=12), 1, 7)), d=2),
+         range(12)),
+    ])
+    def test_sigma_runs_once_per_distinct_step(self, monkeypatch, learner, support):
+        """Every compression step of every distinct sample the grid meets
+        reaches sigma exactly once in a run, and again in the next run. At
+        a budget of one point id each memo holds at most the last entry
+        stored, so sigma sees every step of every sample that differs from
+        the sample before it."""
+        dist = FiniteSupportDistribution.uniform(support)
+        m_values, trials, seed = [3, 6, 9], 200, 5
+        steps, cleared, last = set(), [], None
+        for index in range(trials):
+            draws = draw_sample(dist, max(m_values), split_seed(seed, index))
+            for m in m_values:
+                distinct = frozenset(draws[:m])
+                betas = []
+                if len(distinct) >= learner.d:
+                    betas = [beta for beta, _ in compress_chain(distinct, learner.scheme).steps]
+                steps.update(betas)
+                if distinct != last:
+                    cleared += betas
+                last = distinct
+        calls = []
+        sigma = MonotoneScheme.sigma
+
+        def counting(scheme, subset):
+            calls.append(frozenset(subset))
+            return sigma(scheme, subset)
+
+        monkeypatch.setattr(MonotoneScheme, "sigma", counting)
+        evaluate_grid(learner, dist, m_values, [Fraction(1, 4)], trials, seed)
+        assert sorted(calls, key=sorted) == sorted(steps, key=sorted)
+        evaluate_grid(learner, dist, m_values, [Fraction(1, 4)], trials, seed)
+        assert len(calls) == 2 * len(steps)  # the memos do not outlive their run
+        calls.clear()
+        monkeypatch.setattr(emx.evaluation, "EVALUATE_MEMO_POINTS", 1)
+        evaluate_grid(learner, dist, m_values, [Fraction(1, 4)], trials, seed)
+        assert calls == cleared
 
     @given(
         distributions(range(1, 40)),
