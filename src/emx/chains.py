@@ -3,9 +3,9 @@ the union-expansion decompression.
 
 Compressing M points with an arity-d scheme takes M - d steps, each
 applying sigma to a (d+1)-subset of the live set and ejecting one point.
-One loop does it: compress_kernel returns only the kernel, and records
-the steps only when asked; compress_chain asks, and wraps them in an
-audit trace.
+One loop does it: compress_kernel returns the kernel and stores each
+step's sigma output in the caller's memo; compress_chain passes a fresh
+memo and reads the steps back from it into an audit trace.
 Decompression starts from eta(kernel) and repeatedly unions in eta of
 every d-subset of the current set; after M - d rounds the result contains
 every original point, because at some step sigma mapped exactly the d
@@ -62,24 +62,23 @@ class CompressionTrace:
 def compress_kernel(
     points: Iterable[int],
     scheme: MonotoneScheme,
-    steps: list[tuple[frozenset[int], int]] | None = None,
-    memo: dict[tuple[frozenset[int], int], frozenset[int]] | None = None,
+    memo: dict[tuple[frozenset[int], int], frozenset[int]],
 ) -> frozenset[int]:
-    """Compress a point set to a kernel of scheme.m points; when a steps
-    list is given, append each (sigma input, ejected point) step to it.
+    """Compress a point set to a kernel of scheme.m points.
 
     Subset policy: each step feeds sigma the d+1 smallest-id live points.
     Any policy round-trips (decompression unions over all d-subsets);
     fixing one makes traces replayable. Sorting once suffices: the kept
     points precede every point not yet fed, which enter in id order.
 
-    A step depends only on the kept points and the next point, so a memo,
-    when given, maps each (kept, pid) already stepped to
-    sigma(kept | {pid}) and is read before sigma is called. A memo belongs
-    to one scheme and is filled by every call that passes it; the caller
-    bounds it. sigma's checks run on every step not yet in the memo, and
-    a step whose sigma raises is not stored. The steps and the kernel are
-    the same with or without a memo, cold or warm.
+    A step depends only on the kept points and the next point, so memo
+    maps each (kept, pid) already stepped to sigma(kept | {pid}) and is
+    read before sigma is called. A memo belongs to one scheme and is
+    filled by every call that passes it; the caller bounds it. sigma's
+    checks run on every step not yet in the memo, and a step whose sigma
+    raises is not stored. Each step's pid is larger than the last, so a
+    cold memo ends up holding exactly this call's steps, in order; a warm
+    one gives the same kernel.
     """
     order = sorted(frozenset(points))
     d = scheme.m
@@ -87,28 +86,25 @@ def compress_kernel(
         raise ValueError(f"need at least {d} distinct points, got {len(order)}")
     kept = frozenset(order[:d])
     for pid in order[d:]:
-        beta = None
-        new = None if memo is None else memo.get((kept, pid))
+        new = memo.get((kept, pid))
         if new is None:
-            beta = kept | {pid}
-            new = scheme.sigma(beta)
-            if memo is not None:
-                memo[kept, pid] = new
-        if steps is not None:
-            if beta is None:
-                beta = kept | {pid}
-            (ejected,) = beta - new
-            steps.append((beta, ejected))
+            new = memo[kept, pid] = scheme.sigma(kept | {pid})
         kept = new
     return kept
 
 
 def compress_chain(points: Iterable[int], scheme: MonotoneScheme) -> CompressionTrace:
-    """Compress a point set as compress_kernel does, recording every step
-    in a validated CompressionTrace."""
+    """Compress a point set by compress_kernel with a fresh memo, and
+    record the steps that memo holds, in order, in a validated
+    CompressionTrace."""
     original = frozenset(points)
-    steps: list[tuple[frozenset[int], int]] = []
-    kernel = compress_kernel(original, scheme, steps)
+    memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+    kernel = compress_kernel(original, scheme, memo)
+    steps = []
+    for (kept, pid), new in memo.items():
+        beta = kept | {pid}
+        (ejected,) = beta - new
+        steps.append((beta, ejected))
     return CompressionTrace(original, tuple(steps), kernel)
 
 

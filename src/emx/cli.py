@@ -32,10 +32,11 @@ from .evaluation import evaluate_grid
 from .schemes import SchemeError, seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
-# Random verify on a countable domain reconstructs prefixes 0..max of the
-# pool, and the scheme caches up to 1 024 of them (and as many compressed
-# pairs): at this pool and the largest sample count `emx verify` peaks at
-# about 96 MB RSS (Python 3.11).
+# On a countable domain a reconstruction of ids below k is the prefix
+# 0..k, and a tower scheme caches up to 1 024 of them, so memory grows
+# with the largest id: random verify's pool, evaluate's support ids and
+# descend's sub-domain ids stay below this. At this pool and the largest
+# sample count `emx verify` peaks at about 96 MB RSS (Python 3.11).
 COUNTABLE_POOL_LIMIT = 1_000
 DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000
@@ -104,6 +105,12 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     learner = cfg.build_learner(cfg.build_scheme())
     dist = cfg.build_distribution()
+    top = max(dist.support)
+    if cfg.build_domain().size is None and top >= COUNTABLE_POOL_LIMIT:
+        raise ConfigError(
+            f"{cfg.path}: distribution puts mass on point {top} of a countable domain, "
+            f"at or above the {COUNTABLE_POOL_LIMIT} guard"
+        )
 
     m_values = cfg.field("evaluate", "m")
     if max(m_values) > EVALUATE_M_LIMIT:
@@ -210,6 +217,11 @@ def cmd_descend(args) -> int:
         raise ValueError(
             f"descending over {len(sub)} points needs {work} subset "
             f"evaluations, above the {DESCEND_SUBSET_LIMIT} guard"
+        )
+    if size is None and max(sub, default=0) >= COUNTABLE_POOL_LIMIT:
+        raise ConfigError(
+            f"{cfg.path}: descend sub-domain holds point {max(sub)} of a countable domain, "
+            f"at or above the {COUNTABLE_POOL_LIMIT} guard"
         )
 
     witness = descend(scheme, domain_size, sub)

@@ -45,15 +45,16 @@ class EmxLearner:
 def apply_learner(learner: EmxLearner, draws: Iterable[int]) -> frozenset[int]:
     """Hypothesis for one sample's draws; always finite.
 
-    The sample is compressed by compress_kernel, which records no steps:
-    only `emx compress` builds a CompressionTrace. A sample with fewer
-    than d distinct points is returned as its set of points (proper and
-    sound). Reconstruction-cap overruns propagate as ResourceLimitError.
+    The sample is compressed by compress_kernel with a fresh memo, and no
+    CompressionTrace is built: only `emx compress` needs one. A sample
+    with fewer than d distinct points is returned as its set of points
+    (proper and sound). Reconstruction-cap overruns propagate as
+    ResourceLimitError.
     """
     distinct = frozenset(draws)
     if len(distinct) < learner.d:
         return distinct
-    kernel = compress_kernel(distinct, learner.scheme)
+    kernel = compress_kernel(distinct, learner.scheme, {})
     return decompress_chain(kernel, learner.scheme, len(distinct) - learner.d, learner.cap)
 
 
@@ -112,7 +113,7 @@ def _learned_weight(
         return dist.captured_weight(distinct)
     if len(steps) * (learner.d + 1) >= EVALUATE_MEMO_POINTS:
         steps.clear()
-    kernel = compress_kernel(distinct, learner.scheme, memo=steps)
+    kernel = compress_kernel(distinct, learner.scheme, steps)
     rounds = len(distinct) - learner.d
     weight = kernels.get((kernel, rounds))
     if weight is None:
@@ -171,8 +172,8 @@ def evaluate_grid(
     scheme guarantees because the reconstruction contains the sample; an
     unsound scheme raises SchemeError naming the first such trial and m.
 
-    Each sample is compressed to its kernel alone, without recording
-    steps or building a CompressionTrace, which only `emx compress` needs.
+    Each sample is compressed to its kernel alone, without building a
+    CompressionTrace, which only `emx compress` needs.
     Masses are compared as integer weights over the common denominator.
     The learner's hypothesis depends only on the sample's distinct set,
     so three memos for the whole run share its work across trials:

@@ -20,9 +20,8 @@ from typing import Callable, Iterable, Sequence
 from .towers import OrderTower
 
 
-# Compressions and reconstructions a tower scheme keeps per instance, in
-# two caches of this size, least recently used first out; on the naturals
-# each reconstruction is a prefix 0..k.
+# Reconstructions a tower scheme keeps per instance, least recently used
+# first out; on the naturals each reconstruction is a prefix 0..k.
 RECONSTRUCT_CACHE_SIZE = 1024
 
 
@@ -106,9 +105,7 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
         context, survivor = kept[:-1], kept[-1]
         return t | tower.enumerate_below(context, tower.key(0, context, survivor))
 
-    # sigma calls the cached keep; reconstruct calls keep only on its own misses
-    compress = lru_cache(maxsize=RECONSTRUCT_CACHE_SIZE)(keep)
-    return MonotoneScheme(tower.depth + 1, compress, reconstruct, universe=tower.universe)
+    return MonotoneScheme(tower.depth + 1, keep, reconstruct, universe=tower.universe)
 
 
 def identity_eta_scheme(m: int = 1) -> MonotoneScheme:

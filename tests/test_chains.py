@@ -87,12 +87,40 @@ class TestCompressChain:
             CompressionTrace(frozenset({1, 2}), ((frozenset({1, 2}), 3),), frozenset({1}))
 
 
-def kernel_outcome(compress, points, scheme):
-    """The kernel, or the error's type and message."""
+def kernel_outcome(points, scheme, memo):
+    """compress_kernel's kernel, or the error's type and message."""
     try:
-        return compress(points, scheme)
+        return compress_kernel(points, scheme, memo)
     except ValueError as err:  # SchemeError included
         return (type(err), str(err))
+
+
+def oracle_outcome(points, scheme):
+    """compress_per_step_sort's kernel, or the error a chained compression
+    raises: too few distinct points, or sigma's error on its first bad
+    step."""
+    distinct = len(set(points))
+    if distinct < scheme.m:
+        return (ValueError, f"need at least {scheme.m} distinct points, got {distinct}")
+    try:
+        return compress_per_step_sort(points, scheme)[1]
+    except ValueError as err:
+        return (type(err), str(err))
+
+
+def oracle_memo(points, scheme):
+    """The (kept, pid) -> sigma output entries, in step order, of the steps
+    compress_per_step_sort completes on the longest id-ordered prefix of
+    the points it compresses without error: the steps a chained
+    compression of all the points completes before any error."""
+    order = sorted(set(points))
+    for size in range(len(order), -1, -1):
+        try:
+            steps, _ = compress_per_step_sort(order[:size], scheme)
+        except ValueError:
+            continue
+        # each step feeds sigma the kept points and a larger next id
+        return {(beta - {max(beta)}, max(beta)): beta - {ejected} for beta, ejected in steps}
 
 
 @st.composite
@@ -120,50 +148,42 @@ class TestCompressKernel:
     @given(kernel_cases())
     @settings(max_examples=200)
     def test_matches_the_trace_kernel(self, case):
+        """The kernel, or error, is that of per-step sort's trace, and a
+        cold memo ends holding exactly the steps sigma completed, in
+        order."""
         points, scheme = case
-        assert kernel_outcome(compress_kernel, points, scheme) == kernel_outcome(
-            lambda p, s: compress_chain(p, s).kernel, points, scheme
-        )
+        memo = {}
+        assert kernel_outcome(points, scheme, memo) == oracle_outcome(points, scheme)
+        assert list(memo.items()) == list(oracle_memo(points, scheme).items())
 
     def test_raises_what_the_trace_path_raises(self):
+        """Too few points, a compressor that breaks sigma's contract and a
+        point outside the domain raise what per-step sort's trace path
+        raises."""
         broken = dataclasses.replace(naturals_scheme(), compressor=lambda beta: beta)
         for points, scheme in [((3,), proxy_scheme(20, 1, 0)), ((), naturals_scheme()),
                                ((4, 9), broken), ((2, 25), proxy_scheme(20, 0, 0))]:
-            got = kernel_outcome(compress_kernel, points, scheme)
+            got = kernel_outcome(points, scheme, {})
             assert isinstance(got, tuple)
-            assert got == kernel_outcome(compress_chain, points, scheme)
-        assert kernel_outcome(compress_kernel, (4, 9), broken)[0] is SchemeError
-
-    def test_step_list_holds_the_trace_steps(self):
-        scheme = proxy_scheme(40, 2, 5)
-        points = random.Random(3).sample(range(40), 12)
-        steps = []
-        kernel = compress_kernel(points, scheme, steps)
-        trace = compress_chain(points, scheme)
-        assert (tuple(steps), kernel) == (trace.steps, trace.kernel)
+            assert got == oracle_outcome(points, scheme)
+        assert kernel_outcome((4, 9), broken, {})[0] is SchemeError
 
     @given(kernel_cases())
     @settings(max_examples=200)
     def test_memo_keeps_the_kernel_and_steps(self, case):
-        """No memo, a cold memo and a memo warmed by this set and by a
-        subset of it give the same kernel, or error, and the same steps. A
-        cold memo stores exactly the steps sigma completed."""
+        """A memo warmed by the same set, or by a subset of it, gives the
+        same kernel, or error, as per-step sort and keeps every step sigma
+        completed; a memo warmed by the same set gains no entry."""
         points, scheme = case
-
-        def run(memo):
-            steps = []
-            outcome = kernel_outcome(lambda p, s: compress_kernel(p, s, steps, memo), points, scheme)
-            return outcome, steps
-
-        want = run(None)
+        want, steps = oracle_outcome(points, scheme), oracle_memo(points, scheme)
         memo = {}
-        assert run(memo) == want
-        # each step feeds sigma the kept points and a larger next id
-        assert memo == {(beta - {max(beta)}, max(beta)): beta - {ejected}
-                        for beta, ejected in want[1]}
-        assert run(memo) == want
-        kernel_outcome(lambda p, s: compress_kernel(p[: len(p) // 2], s, None, memo), points, scheme)
-        assert run(memo) == want
+        kernel_outcome(points, scheme, memo)
+        assert kernel_outcome(points, scheme, memo) == want
+        assert memo == steps
+        memo = {}
+        kernel_outcome(points[: len(points) // 2], scheme, memo)
+        assert kernel_outcome(points, scheme, memo) == want
+        assert steps.items() <= memo.items()
 
 
 class TestDecompressChain:

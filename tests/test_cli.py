@@ -333,6 +333,31 @@ class TestEvaluate:
         exits_two_before_any_trial(cfg, str(tmp_path / "out"), monkeypatch, capsys,
                                    f"evaluate.m of {max(m)} is above the {EVALUATE_M_LIMIT} guard")
 
+    @pytest.mark.parametrize("domain", [{"kind": "naturals"}, {"kind": "calkin-wilf"}])
+    def test_countable_support_guard(self, tmp_path, monkeypatch, capsys, domain):
+        def config(hi):
+            cfg = json.loads(Path(tank_eval_config(tmp_path, trials=1, m=[2])).read_text())
+            cfg.update(domain=domain, distribution={"kind": "uniform-range", "lo": 0, "hi": hi})
+            return write_config(tmp_path, cfg, f"support-{hi}.json")
+
+        assert main(["evaluate", config(999), "--out", str(tmp_path / "at")]) == 0
+        assert capsys.readouterr().err == ""
+        run = run_cli_process(["evaluate", config(999), "--out", str(tmp_path / "at-process")])
+        assert (run.returncode, run.stderr) == (0, "")
+        exits_two_before_any_trial(
+            config(1_000), str(tmp_path / "o"), monkeypatch, capsys,
+            "distribution puts mass on point 1000 of a countable domain, at or above the "
+            "1000 guard",
+        )
+
+    def test_support_guard_spares_finite_domains(self, tmp_path, capsys):
+        cfg = json.loads(Path(tank_eval_config(tmp_path, trials=1, m=[2])).read_text())
+        cfg.update(domain={"kind": "finite", "size": 1_001}, tower={"depth": 0, "seed": 1},
+                   scheme={"kind": "tower"},
+                   distribution={"kind": "explicit", "masses": {"1000": "1/1"}})
+        assert main(["evaluate", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_sample_size_at_the_guard_runs(self, tmp_path):
         cfg = tank_eval_config(tmp_path, trials=1, m=[EVALUATE_M_LIMIT])
         out = tmp_path / "out"
@@ -458,6 +483,42 @@ class TestDescend:
         )
         assert main(["descend", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "|Z| = 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", [{"kind": "naturals"}, {"kind": "calkin-wilf"}])
+    def test_countable_sub_domain_guard(self, tmp_path, monkeypatch, capsys, domain):
+        def config(top):
+            return write_config(
+                tmp_path,
+                {
+                    "schema": "emx-experiment/1",
+                    "domain": domain,
+                    "scheme": {"kind": "enumeration"},
+                    "descend": {"x_size": 2_000, "y": [0, 1, 2, top]},
+                },
+                f"descend-{top}.json",
+            )
+
+        assert main(["descend", config(999), "--out", str(tmp_path / "at")]) == 0
+        assert "x: 1000" in (tmp_path / "at" / "descent.txt").read_text()
+        run = run_cli_process(["descend", config(999), "--out", str(tmp_path / "at-process")])
+        assert (run.returncode, run.stderr) == (0, "")
+        capsys.readouterr()
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descended past the guard")
+
+        monkeypatch.setattr(emx.cli, "descend", no_descent)
+        out = str(tmp_path / "o")
+        message = ("descend sub-domain holds point 1000 of a countable domain, at or above "
+                   "the 1000 guard")
+        assert main(["descend", config(1_000), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+        run = run_cli_process(["descend", config(1_000), "--out", out])
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert run.stderr.startswith("config error: ") and run.stderr.count("\n") == 1
+        assert message in run.stderr
+        assert not os.path.exists(out)
 
     def test_oversized_sub_domain_exits_two(self, tmp_path, capsys):
         cfg = write_config(

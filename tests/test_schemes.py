@@ -78,30 +78,7 @@ class TestEnumerationScheme:
             assert scheme.eta(kernel(0)) == kernel(0)
             assert len(calls) == RECONSTRUCT_CACHE_SIZE + 2  # kernel(0) was evicted and rebuilt
 
-    def test_compression_cache_is_bounded(self):
-        # a depth-0 and a depth-1 stub tower keyed by id, counting the
-        # orderings sigma reads: d of them for each compression it computes
-        for build, depth in ((enumeration_scheme, 0), (tower_scheme, 1)):
-            calls = []
-
-            def keys(level, context):
-                calls.append(level)
-                return lambda pid: pid
-
-            def beta(k):
-                return frozenset(range(k, k + depth + 2))
-
-            scheme = build(OrderTower(depth, keys, lambda context, bound: frozenset()))
-            for _ in range(2):
-                for k in range(RECONSTRUCT_CACHE_SIZE):
-                    assert scheme.sigma(beta(k)) == beta(k) - {k}
-            assert len(calls) == (depth + 1) * RECONSTRUCT_CACHE_SIZE  # the second pass hit
-            scheme.sigma(beta(RECONSTRUCT_CACHE_SIZE))
-            assert scheme.sigma(beta(0)) == beta(0) - {0}
-            # beta(0) was evicted and compressed again
-            assert len(calls) == (depth + 1) * (RECONSTRUCT_CACHE_SIZE + 2)
-
-    def test_compression_cache_keeps_no_errors(self):
+    def test_sigma_raises_on_every_call(self):
         scheme = tower_scheme(finite_proxy_tower(FiniteDomain(size=6), 1, 4))
         for _ in range(3):
             with pytest.raises(ValueError, match="point 9 is not in the domain"):
