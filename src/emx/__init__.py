@@ -19,7 +19,6 @@ from .analysis import (
     search_schemes,
     witness_to_text,
 )
-from .calkin_wilf import fraction_at, index_of
 from .chains import (
     DEFAULT_CAP,
     CompressionTrace,
@@ -35,7 +34,6 @@ from .core import (
     FiniteDomain,
     FiniteSupportDistribution,
     draw_sample,
-    erm_max_coverage,
     expectation,
     naturals_domain,
 )
@@ -84,14 +82,11 @@ __all__ = [
     "draw_sample",
     "enumerated_tower",
     "enumeration_scheme",
-    "erm_max_coverage",
     "evaluate",
     "evaluate_grid",
     "expectation",
     "finite_proxy_tower",
-    "fraction_at",
     "identity_eta_scheme",
-    "index_of",
     "load_config",
     "naturals_domain",
     "parse_rational",

@@ -26,18 +26,18 @@ from .analysis import (
     witness_to_text,
 )
 from .chains import ResourceLimitError, compress_chain, trace_to_text
-from .config import ConfigError, ExperimentConfig, format_rational, load_config
+from .config import (
+    COUNTABLE_POOL_LIMIT,
+    ConfigError,
+    ExperimentConfig,
+    format_rational,
+    load_config,
+)
 from .evaluation import evaluate  # noqa: F401  perfbench/tracer.py wraps it under this name
 from .evaluation import evaluate_grid
 from .schemes import SchemeError, seeded_subsets, verify_soundness
 
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
-# On a countable domain a reconstruction of ids below k is the prefix
-# 0..k, and a tower scheme caches up to 1 024 of them, so memory grows
-# with the largest id: random verify's pool, evaluate's support ids and
-# descend's sub-domain ids stay below this. At this pool and the largest
-# sample count `emx verify` peaks at about 96 MB RSS (Python 3.11).
-COUNTABLE_POOL_LIMIT = 1_000
 DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000
 # Each evaluate trial draws max(m) points into one list: at m = 4 000 000
@@ -105,12 +105,6 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     learner = cfg.build_learner(cfg.build_scheme())
     dist = cfg.build_distribution()
-    top = max(dist.support)
-    if cfg.build_domain().size is None and top >= COUNTABLE_POOL_LIMIT:
-        raise ConfigError(
-            f"{cfg.path}: distribution puts mass on point {top} of a countable domain, "
-            f"at or above the {COUNTABLE_POOL_LIMIT} guard"
-        )
 
     m_values = cfg.field("evaluate", "m")
     if max(m_values) > EVALUATE_M_LIMIT:

@@ -1,5 +1,5 @@
-"""Domains of point ids, exact finite-support distributions, sampling,
-captured mass, and the max-coverage training baseline.
+"""Domains of point ids, exact finite-support distributions, sampling
+and captured mass.
 
 A hypothesis is a finite set of point ids, read as the indicator of the
 points labeled 1: any set of ids is accepted, and learners return
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -157,20 +157,3 @@ def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> tuple[int
             r = getrandbits(k)
         draws.append(support[bisect_right(bounds, r)])
     return tuple(draws)
-
-
-def erm_max_coverage(
-    draws: Sequence[int], candidates: Sequence[frozenset[int]]
-) -> frozenset[int]:
-    """The candidate covering the most draws, counted with multiplicity;
-    ties go to the earliest candidate in the list, which is returned
-    itself."""
-    if not candidates:
-        raise ValueError("need at least one candidate hypothesis")
-    best = candidates[0]
-    best_count = -1
-    for candidate in candidates:
-        count = sum(1 for point_id in draws if point_id in candidate)
-        if count > best_count:
-            best, best_count = candidate, count
-    return best

@@ -23,9 +23,10 @@ from .seeds import order_hash
 
 ContextChain = tuple[int, ...]
 
-# Orderings a finite proxy tower keeps per instance: every ordering of a
-# depth-2 tower on 60 points (1 + 60 + 60*59 = 3601) fits.
-ORDERING_CACHE_SIZE = 4096
+# Point ids a finite proxy tower's cached orderings hold in all, each
+# ordering holding every id: on 60 points 4 369 orderings fit, so every
+# ordering of a depth-2 tower (1 + 60 + 60*59 = 3 601) does.
+ORDERING_CACHE_POINTS = 262_144  # 2**18
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,14 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
     Each (level, context) pair gets its own ordering: ids sorted by a
     stable hash of (seed, level, context, id), equal hashes broken by
     ascending id. Orderings are cached per context, up to
-    ORDERING_CACHE_SIZE of them, least recently used first out.
+    ORDERING_CACHE_POINTS // size of them (at least one), least recently
+    used first out.
     """
     if depth < 0:
         raise ValueError("tower depth must be >= 0")
     ids = tuple(domain.ids())
 
-    @lru_cache(maxsize=ORDERING_CACHE_SIZE)
+    @lru_cache(maxsize=max(1, ORDERING_CACHE_POINTS // domain.size))
     def ordering(level: int, context: ContextChain) -> tuple[tuple[int, ...], dict[int, int]]:
         digests = order_hash(seed, level, context, ids)
         # ids is range(size), so an id indexes its own digest. The sort is

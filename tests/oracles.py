@@ -2,22 +2,21 @@
 
 These deliberately avoid the library's own code paths: the search oracle
 enumerates the full assignment space with no pruning or symmetry
-breaking, the rational enumerations are generated by two unrelated
-methods (tree BFS and the floor recurrence), the decompression oracle
-walks every round in full with no cover stop, the compression oracle
-re-sorts the live set on every step, and the evaluation oracle runs each
-trial on Fractions with nothing reused across trials. The enumeration
-oracle is the 2-to-1 scheme written on its own, without the tower
-construction's extraction loop or its reconstruction cache, and the
-tank-learner oracle `max_estimator` is the take-the-maximum rule for
-serial numbers, with no scheme, chain or tower at all.
+breaking, the decompression oracle walks every round in full with no
+cover stop, the compression oracle re-sorts the live set on every step,
+and the evaluation oracle runs each trial on Fractions with nothing
+reused across trials. The enumeration oracle is the 2-to-1 scheme
+written on its own, without the tower construction's extraction loop or
+its reconstruction cache, and the tank-learner oracle `max_estimator` is
+the take-the-maximum rule for serial numbers, with no scheme, chain or
+tower at all.
 """
 
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor, lcm
+from math import lcm
 
 from emx.chains import DEFAULT_CAP, ResourceLimitError
 from emx.evaluation import TrialRecord
@@ -49,27 +48,6 @@ def scheme_exists_brute_force(n: int, m: int, budget: int) -> bool:
     """Does any sound (m+1)-to-m selection scheme with |eta| <= budget exist
     on n points?"""
     return first_assignment_brute_force(n, m, budget) is not None
-
-
-def calkin_wilf_bfs(count: int) -> list[Fraction]:
-    """Breadth-first traversal of the tree rooted at 1/1."""
-    out: list[Fraction] = []
-    queue: deque[tuple[int, int]] = deque([(1, 1)])
-    while len(out) < count:
-        a, b = queue.popleft()
-        out.append(Fraction(a, b))
-        queue.append((a, a + b))
-        queue.append((a + b, b))
-    return out
-
-
-def calkin_wilf_recurrence(count: int) -> list[Fraction]:
-    """Successor recurrence: q' = 1 / (2*floor(q) - q + 1)."""
-    out = [Fraction(1)]
-    while len(out) < count:
-        q = out[-1]
-        out.append(1 / (2 * floor(q) - q + 1))
-    return out
 
 
 def decompress_full(kernel, scheme, iterations, cap=DEFAULT_CAP):

@@ -15,12 +15,7 @@ from pathlib import Path
 from emx.analysis import SearchProblem, descend, search_schemes
 from emx.chains import compress_chain, decompress_chain
 from emx.cli import main
-from emx.core import (
-    FiniteDomain,
-    FiniteSupportDistribution,
-    erm_max_coverage,
-    naturals_domain,
-)
+from emx.core import FiniteDomain, FiniteSupportDistribution, naturals_domain
 from emx.evaluation import EmxLearner, evaluate
 from emx.schemes import enumeration_scheme, seeded_subsets, tower_scheme, verify_soundness
 from emx.towers import enumerated_tower, finite_proxy_tower
@@ -227,13 +222,3 @@ def test_criterion_8_cli_determinism(tmp_path):
         identical.append(f"{tag}={'ok' if same else 'DIFF'}")
         ok = ok and same
     report(8, "byte-identical CLI reruns", ok, " ".join(identical))
-
-
-def test_criterion_9_erm_baseline():
-    ad_1 = frozenset({1, 4})
-    ad_2 = frozenset({2, 3, 4})
-    ad_3 = frozenset({2, 3})
-    chosen = erm_max_coverage((2, 3, 3, 4), [ad_1, ad_2, ad_3])
-    ok = chosen is ad_2
-    report(9, "max-coverage baseline on the ad table", ok,
-           f"chosen={{{', '.join(map(str, sorted(chosen)))}}}")

@@ -20,7 +20,8 @@ import emx
 import emx.cli
 from emx.analysis import SearchProblem, counting_refutes
 from emx.cli import EVALUATE_M_LIMIT, SEARCH_SUBSET_LIMIT, main
-from emx.config import FIELDS, ExperimentConfig, load_config, parse_rational
+from emx.config import DOMAIN_SIZE_LIMIT, FIELDS, ExperimentConfig, load_config, parse_rational
+from emx.core import FiniteDomain, FiniteSupportDistribution
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -348,6 +349,32 @@ class TestEvaluate:
             config(1_000), str(tmp_path / "o"), monkeypatch, capsys,
             "distribution puts mass on point 1000 of a countable domain, at or above the "
             "1000 guard",
+        )
+
+    @pytest.mark.parametrize(
+        "domain, lo, line_end",
+        [
+            ({"kind": "naturals"}, 0,
+             "point 1000000000 of a countable domain, at or above the 1000 guard"),
+            ({"kind": "naturals"}, -5, "point -5, outside the domain"),
+            ({"kind": "finite", "size": 60}, 0, "point 60, outside the domain"),
+            ({"kind": "finite", "size": 60}, 100, "point 100, outside the domain"),
+        ],
+        ids=["naturals", "naturals-from-minus-5", "finite-from-0", "finite-from-100"],
+    )
+    def test_oversized_uniform_range_is_never_built(self, tmp_path, monkeypatch, capsys,
+                                                     domain, lo, line_end):
+        def no_range(*args, **kwargs):
+            raise AssertionError("a uniform range was built before its check")
+
+        monkeypatch.setattr(FiniteSupportDistribution, "uniform", no_range)
+        cfg = json.loads(Path(tank_eval_config(tmp_path, trials=1, m=[2])).read_text())
+        cfg.update(domain=domain, tower={"depth": 0, "seed": 1}, scheme={"kind": "tower"},
+                   distribution={"kind": "uniform-range", "lo": lo, "hi": 10**9})
+        path = write_config(tmp_path, cfg)
+        exits_two_before_any_trial(
+            path, str(tmp_path / "o"), monkeypatch, capsys,
+            f"config error: {path}: distribution puts mass on {line_end}\n",
         )
 
     def test_support_guard_spares_finite_domains(self, tmp_path, capsys):
@@ -1188,3 +1215,35 @@ class TestFieldTable:
             "evaluate.m must hold distinct values, got 4 twice\n"
         )
         assert not out.exists()
+
+
+class TestDomainSizeGuard:
+    """A finite domain.size above DOMAIN_SIZE_LIMIT stops every command that
+    builds a scheme, with one config error line, before any id is built."""
+
+    @staticmethod
+    def config(tmp_path, size):
+        return write_config(tmp_path, {**ALL_SECTIONS, "domain": {"kind": "finite", "size": size},
+                                       "tower": {"depth": 1, "seed": 3},
+                                       "scheme": {"kind": "tower"}}, f"size-{size}.json")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SECTIONS))
+    def test_above_the_guard_exits_two(self, tmp_path, monkeypatch, capsys, command):
+        def no_ids(self):
+            raise AssertionError("ids built past the guard")
+
+        size = DOMAIN_SIZE_LIMIT + 1
+        path, out = self.config(tmp_path, size), str(tmp_path / "out")
+        line = (f"config error: {path}: domain.size of {size} is above the "
+                f"{DOMAIN_SIZE_LIMIT} guard\n")
+        monkeypatch.setattr(FiniteDomain, "ids", no_ids)
+        assert main([command, path, "--out", out]) == 2
+        assert capsys.readouterr().err == line
+        run = run_cli_process([command, path, "--out", out])
+        assert (run.returncode, run.stderr) == (2, line)
+        assert not os.path.exists(out)
+
+    def test_at_the_guard_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compress", self.config(tmp_path, DOMAIN_SIZE_LIMIT), "--out", str(out)]) == 0
+        assert (out / "trace.txt").read_text().startswith("# emx-trace 1\noriginal: 1 2\n")

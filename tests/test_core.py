@@ -8,15 +8,13 @@ from emx.core import (
     FiniteDomain,
     FiniteSupportDistribution,
     draw_sample,
-    erm_max_coverage,
     expectation,
     naturals_domain,
 )
 
-# the ad table: people 1..4, ad_1 = {1,4}, ad_2 = {2,3,4}, ad_3 = {2,3}
+# the ad table: people 1..4, ad_1 = {1,4}, ad_2 = {2,3,4}
 AD_1 = frozenset({1, 4})
 AD_2 = frozenset({2, 3, 4})
-AD_3 = frozenset({2, 3})
 
 
 @st.composite
@@ -173,32 +171,3 @@ class TestSampling:
         d = FiniteSupportDistribution({3: Fraction(2, 5), 8: Fraction(3, 5)})
         sample = draw_sample(d, 200, 7)
         assert frozenset(sample) <= {3, 8}
-
-
-class TestErm:
-    def test_ad_table_training_multiset(self):
-        sample = (2, 3, 3, 4)
-        assert erm_max_coverage(sample, [AD_1, AD_2, AD_3]) is AD_2
-
-    def test_single_visitor_prefers_ad1(self):
-        sample = (1,)
-        assert erm_max_coverage(sample, [AD_1, AD_2, AD_3]) is AD_1
-
-    def test_all_zero_coverage_takes_first(self):
-        sample = (99,)
-        assert erm_max_coverage(sample, [AD_1, AD_2, AD_3]) is AD_1
-
-    def test_rejects_empty_candidates(self):
-        with pytest.raises(ValueError):
-            erm_max_coverage((1,), [])
-
-    @given(
-        st.lists(st.integers(0, 6), min_size=1, max_size=8),
-        st.lists(st.sets(st.integers(0, 6)), min_size=1, max_size=5),
-    )
-    def test_output_coverage_is_maximal(self, points, candidate_sets):
-        sample = tuple(points)
-        candidates = [frozenset(s) for s in candidate_sets]
-        chosen = erm_max_coverage(sample, candidates)
-        best = max(sum(1 for p in points if p in c) for c in candidates)
-        assert sum(1 for p in points if p in chosen) == best

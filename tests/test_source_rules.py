@@ -29,8 +29,9 @@ def test_no_assert_statements():
 
 def unbounded_caches(tree: ast.Module) -> list[int]:
     """Lines of a module that use `functools.cache`, or `lru_cache` without
-    a maxsize that is a positive integer literal or a module-level name
-    bound to one."""
+    a maxsize that is a positive integer literal, a module-level name
+    bound to one, or a `max` of such sizes and their floor quotients
+    (`max(1, SIZE // n)`) with at least one size among its arguments."""
     sizes = {
         target.id: node.value.value
         for node in tree.body
@@ -40,11 +41,20 @@ def unbounded_caches(tree: ast.Module) -> list[int]:
     }
 
     def finite(expr: ast.expr) -> bool:
+        if isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "max":
+            # at least one size, and no argument above the largest size
+            return any(map(finite, expr.args)) and all(
+                finite(arg) or quotient(arg) for arg in expr.args
+            )
         if isinstance(expr, ast.Name):
             value = sizes.get(expr.id)
         else:
             value = expr.value if isinstance(expr, ast.Constant) else None
         return type(value) is int and value > 0
+
+    def quotient(expr: ast.expr) -> bool:
+        return isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.FloorDiv) \
+            and finite(expr.left)
 
     # the functools name behind each imported name, and the names functools
     # itself is imported under
@@ -103,6 +113,11 @@ def test_every_cache_has_a_bound():
         ("import functools as ft\n@ft.cache\ndef f(x): ...", [2]),
         ("from functools import lru_cache as memo\n@memo(maxsize=0)\ndef f(x): ...", [2]),
         ("cache = {}\ncache[1] = 2", []),
+        ("from functools import lru_cache\nN = 8\n@lru_cache(max(1, N // n))\ndef f(x): ...", []),
+        ("from functools import lru_cache\nN = 8\n@lru_cache(N // n)\ndef f(x): ...", [3]),
+        ("from functools import lru_cache\n@lru_cache(max(1, n))\ndef f(x): ...", [2]),
+        ("from functools import lru_cache\n@lru_cache(max(1, n // 2))\ndef f(x): ...", [2]),
+        ("from functools import lru_cache\nN = 8\n@lru_cache(max(N // n))\ndef f(x): ...", [3]),
     ],
 )
 def test_unbounded_cache_rule(source, lines):
@@ -173,10 +188,10 @@ def test_unused_import_rule(source, found):
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# Exported for readers of the library rather than for its own code: the
-# learner as a function and the training baseline (criterion 9), and the
-# Calkin-Wilf reading of the ids of the `calkin-wilf` domain.
-EXPORT_KEEP = {"apply_learner", "erm_max_coverage", "fraction_at", "index_of"}
+# Exported for readers of the library rather than for its own code:
+# `apply_learner` defines the learner's hypothesis, which the tests check
+# `evaluate_grid` against.
+EXPORT_KEEP = {"apply_learner"}
 
 
 def referenced_names(tree: ast.Module, strings: bool = False) -> set[str]:

@@ -1,16 +1,14 @@
 import hashlib
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emx.calkin_wilf import index_of
 from emx.core import FiniteDomain, naturals_domain
 from emx.seeds import order_hash
 import emx.towers
-from emx.towers import ORDERING_CACHE_SIZE, enumerated_tower, finite_proxy_tower
+from emx.towers import ORDERING_CACHE_POINTS, enumerated_tower, finite_proxy_tower
 
 
 def per_id_hash(*parts):
@@ -151,16 +149,37 @@ class TestFiniteProxy:
 
         tower = finite_proxy_tower(FiniteDomain(size=60), 2, 8)
         first = touch_every_ordering(tower, 60)
-        assert len(hashed) == 1 + 60 + 60 * 59 <= ORDERING_CACHE_SIZE
+        assert len(hashed) == 1 + 60 + 60 * 59 <= ORDERING_CACHE_POINTS // 60
         assert touch_every_ordering(tower, 60) == first
         assert len(hashed) == 1 + 60 + 60 * 59  # nothing evicted
 
         hashed.clear()
         tower = finite_proxy_tower(FiniteDomain(size=65), 2, 8)
         first = touch_every_ordering(tower, 65)
-        assert len(hashed) == 1 + 65 + 65 * 64 > ORDERING_CACHE_SIZE
+        assert len(hashed) == 1 + 65 + 65 * 64 > ORDERING_CACHE_POINTS // 65
         assert touch_every_ordering(tower, 65) == first
         assert len(hashed) > 1 + 65 + 65 * 64  # evicted orderings were rebuilt alike
+
+    @pytest.mark.parametrize("size", [2_048, ORDERING_CACHE_POINTS + 1])
+    def test_ordering_cache_holds_its_points_in_orderings(self, monkeypatch, size):
+        """A tower on `size` points keeps ORDERING_CACHE_POINTS // size
+        orderings, and at least one: its first ordering is still cached
+        after one fewer other fills and is refilled after that many."""
+        hashed = []
+
+        def counting_order_hash(seed, level, context, ids):
+            hashed.append((level, context))
+            return [0] * len(ids)  # equal digests: the ordering is the id order
+
+        monkeypatch.setattr(emx.towers, "order_hash", counting_order_hash)
+        kept = max(1, ORDERING_CACHE_POINTS // size)
+        for others in (kept - 1, kept):
+            hashed.clear()
+            tower = finite_proxy_tower(FiniteDomain(size=size), 1, 8)
+            for context in [()] + [(a,) for a in range(others)] + [()]:
+                assert tower.key(1 - len(context), context, 5) == 5
+            refilled = [(1, ())] if others == kept else []
+            assert hashed == [(1, ())] + [(0, (a,)) for a in range(others)] + refilled
 
     def test_unknown_point_rejected(self):
         dom = FiniteDomain(size=5)
@@ -208,14 +227,6 @@ class TestEnumeratedTower:
     def test_key_is_the_index(self):
         tower = enumerated_tower(naturals_domain())
         assert tower.key(0, (), 41) == 41
-
-    def test_calkin_wilf_root_and_membership(self):
-        dom = naturals_domain()
-        tower = enumerated_tower(dom)
-        assert index_of(Fraction(1)) == 0
-        for q in (Fraction(1), Fraction(5, 3), Fraction(7, 2)):
-            idx = index_of(q)
-            assert idx in tower.enumerate_below((), tower.key(0, (), idx))
 
     @given(st.integers(0, 200), st.integers(0, 200))
     def test_prefix_sizes(self, bound, pid):
