@@ -52,11 +52,16 @@ def reconstruction_image(scheme: MonotoneScheme, sub_domain: Iterable[int]) -> f
 @dataclass(frozen=True)
 class ReductionWitness:
     """Anchor point, size of the reconstruction image it lies outside of,
-    and the reduced scheme (arity one less, sound on the sub-domain)."""
+    the reduced scheme (arity one less, sound on the sub-domain), the
+    sub-domain y, and the reduced sigma of every m-subset and eta of every
+    (m-1)-subset of y as (subset, output) pairs, all sorted."""
 
     x: int
     z_size: int
     reduced: MonotoneScheme
+    y: tuple[int, ...]
+    sigma_table: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    eta_table: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def descend(
@@ -75,7 +80,7 @@ def descend(
     sub-domain whose reconstruction already contains x, contradicting
     x outside Z. The reduced reconstructor maps t to eta(t | {x}).
     Soundness of the result is verified exhaustively over the sub-domain
-    before returning.
+    before returning, from the sigma and eta tables the witness carries.
     """
     if scheme.m < 1:
         raise ValueError("descending needs a scheme of arity m >= 1")
@@ -87,11 +92,7 @@ def descend(
 
     z = reconstruction_image(scheme, y)
     x = next((pid for pid in range(domain_size) if pid not in z), None)
-    if x is None:
-        raise DeskScaleError(len(z))
-    if x in y:
-        # cannot happen for a sound scheme (the sub-domain sits inside Z);
-        # treat as the same desk-scale failure
+    if x is None or x in y:  # x in y only if the scheme is unsound: y sits in Z
         raise DeskScaleError(len(z))
 
     def compress(s: frozenset[int]) -> frozenset[int]:
@@ -104,10 +105,14 @@ def descend(
         return scheme.eta(frozenset(t) | {x})
 
     reduced = MonotoneScheme(scheme.m - 1, compress, reconstruct, budget=scheme.budget)
-    report = verify_soundness(reduced, combinations(sorted(y), scheme.m))
-    if report.violations:
-        raise DescentError(report.violations[0])
-    return ReductionWitness(x=x, z_size=len(z), reduced=reduced)
+    ys = tuple(sorted(y))
+    sigma_table = tuple((s, tuple(sorted(reduced.sigma(s)))) for s in combinations(ys, scheme.m))
+    eta_table = tuple((t, tuple(sorted(reduced.eta(t)))) for t in combinations(ys, scheme.m - 1))
+    eta_of = dict(eta_table)
+    for s, kept in sigma_table:
+        if not set(s).issubset(eta_of[kept]):
+            raise DescentError(frozenset(s))
+    return ReductionWitness(x, len(z), reduced, ys, sigma_table, eta_table)
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,10 @@ def search_schemes(problem: SearchProblem) -> SearchResult:
 WITNESS_HEADER = "# emx-scheme-witness 1"
 
 
+def _row(tag: str, subset: Iterable[int], out: Iterable[int]) -> str:
+    return f"{tag}: {' '.join(map(str, subset))} | {' '.join(map(str, out))}"
+
+
 def witness_to_text(result: SearchResult) -> str:
     """Dump a SAT witness: sigma lines as `subset | dropped`, eta lines as
     `subset | reconstruction`, both in lexicographic subset order."""
@@ -268,8 +277,17 @@ def witness_to_text(result: SearchResult) -> str:
         raise ValueError("only SAT results carry a witness")
     p = result.problem
     lines = [WITNESS_HEADER, f"n: {p.n}", f"m: {p.m}", f"budget: {p.budget}"]
-    for beta, dropped in result.sigma_table:
-        lines.append("sigma: " + " ".join(map(str, beta)) + " | " + str(dropped))
-    for t, out in result.eta_table:
-        lines.append("eta: " + " ".join(map(str, t)) + " | " + " ".join(map(str, out)))
+    lines += [_row("sigma", beta, [dropped]) for beta, dropped in result.sigma_table]
+    lines += [_row("eta", t, out) for t, out in result.eta_table]
+    return "\n".join(lines) + "\n"
+
+
+def descent_to_text(witness: ReductionWitness) -> str:
+    """Dump a descent witness: the anchor, |Z| and the sub-domain, then
+    sigma lines as `subset | kept` and eta lines as `subset |
+    reconstruction`, both in lexicographic subset order."""
+    lines = ["# emx-descent-witness 1", f"x: {witness.x}", f"z_size: {witness.z_size}",
+             "y: " + " ".join(map(str, witness.y)), f"reduced_m: {witness.reduced.m}"]
+    lines += [_row("sigma", s, kept) for s, kept in witness.sigma_table]
+    lines += [_row("eta", t, out) for t, out in witness.eta_table]
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from .analysis import (
     SearchProblem,
     counting_refutes,
     descend,
+    descent_to_text,
     search_schemes,
     witness_to_text,
 )
@@ -40,9 +41,6 @@ from .schemes import SchemeError, seeded_subsets, verify_soundness
 EXHAUSTIVE_SUBSET_LIMIT = 200_000
 DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000
-# Each evaluate trial draws max(m) points into one list: at m = 4 000 000
-# three trials took 4 s and peaked at 111 MB RSS (Python 3.11).
-EVALUATE_M_LIMIT = 100_000
 
 
 def _write_text(path: str, text: str) -> None:
@@ -50,20 +48,21 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _csv_writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _verify_subsets(cfg: ExperimentConfig, size: int | None, arity: int) -> list[frozenset[int]]:
-    mode = cfg.field("verify", "mode", "exhaustive")
+    mode = cfg.field("verify", "mode")
     name = "count" if mode == "exhaustive" else "pool"
-    points = cfg.field("verify", name, size)
-    if points is None:
-        raise ConfigError(f"{cfg.path}: verify.{name} is required for countable domains")
+    points = cfg.field("verify", name)
     if points < arity + 1:  # fewer points than one subset: nothing would be checked
         raise ConfigError(f"{cfg.path}: verify.{name} must be >= {arity + 1}, got {points}")
     if mode == "random":
-        samples, seed = cfg.field("verify", "samples", 100), cfg.field("verify", "seed", 0)
+        samples, seed = cfg.field("verify", "samples"), cfg.field("verify", "seed")
         if samples > EXHAUSTIVE_SUBSET_LIMIT:
             raise ConfigError(
                 f"{cfg.path}: random verify of {samples} samples is above the "
@@ -91,12 +90,11 @@ def cmd_verify(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     violations = set(report.violations)
-    with open(os.path.join(args.out, "soundness.csv"), "w", encoding="utf-8", newline="") as handle:
-        writer = _csv_writer(handle)
-        writer.writerow(["subset", "status"])
-        for subset in subsets:
-            status = "violation" if subset in violations else "ok"
-            writer.writerow([" ".join(map(str, sorted(subset))), status])
+    _write_csv(
+        os.path.join(args.out, "soundness.csv"), ["subset", "status"],
+        ([" ".join(map(str, sorted(subset))), "violation" if subset in violations else "ok"]
+         for subset in subsets),
+    )
     print(f"checked {report.checked} subsets, {len(report.violations)} violations")
     return 0 if not report.violations else 1
 
@@ -105,36 +103,22 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     learner = cfg.build_learner(cfg.build_scheme())
     dist = cfg.build_distribution()
-
-    m_values = cfg.field("evaluate", "m")
-    if max(m_values) > EVALUATE_M_LIMIT:
-        raise ConfigError(
-            f"{cfg.path}: evaluate.m of {max(m_values)} is above the {EVALUATE_M_LIMIT} guard"
-        )
-    epsilons = cfg.field("evaluate", "epsilon")
-    trials = cfg.field("evaluate", "trials", 1000)
-    seed = cfg.field("evaluate", "seed", 0)
-    confidence = cfg.field("evaluate", "confidence", 0.99)
-    per_trial = cfg.field("evaluate", "per_trial", False)
-
-    reports = evaluate_grid(
-        learner, dist, m_values, epsilons, trials, seed,
-        confidence=confidence, keep_records=per_trial,
+    m_values, epsilons, trials, seed, confidence, per_trial = (
+        cfg.field("evaluate", name)
+        for name in ("m", "epsilon", "trials", "seed", "confidence", "per_trial")
     )
+    reports = evaluate_grid(learner, dist, m_values, epsilons, trials, seed,
+                            confidence=confidence, keep_records=per_trial)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "evaluation.csv"), "w", encoding="utf-8", newline="") as handle:
-        writer = _csv_writer(handle)
-        writer.writerow(
-            ["m", "epsilon", "trials", "completed", "failures", "errors",
-             "failure_rate", "ci_halfwidth", "confidence"]
-        )
-        for rep in reports:
-            writer.writerow(
-                [rep.m, format_rational(rep.epsilon), rep.trials, rep.completed,
-                 rep.failures, rep.errors, format_rational(rep.failure_rate),
-                 repr(rep.ci_halfwidth), rep.confidence]
-            )
+    _write_csv(
+        os.path.join(args.out, "evaluation.csv"),
+        ["m", "epsilon", "trials", "completed", "failures", "errors",
+         "failure_rate", "ci_halfwidth", "confidence"],
+        ([rep.m, format_rational(rep.epsilon), rep.trials, rep.completed,
+          rep.failures, rep.errors, format_rational(rep.failure_rate),
+          repr(rep.ci_halfwidth), rep.confidence] for rep in reports),
+    )
 
     lines = [
         "# emx evaluation summary",
@@ -144,26 +128,23 @@ def cmd_evaluate(args) -> int:
         f"master_seed: {seed}",
         f"trials_per_cell: {trials}",
     ]
-    for rep in reports:
-        lines.append(
-            f"m={rep.m} epsilon={format_rational(rep.epsilon)}: "
-            f"failure_rate={format_rational(rep.failure_rate)} "
-            f"(~{float(rep.failure_rate):.6f}) +/- {rep.ci_halfwidth:.6f} "
-            f"[{rep.confidence:.0%}], errors={rep.errors}"
-        )
+    lines += [
+        f"m={rep.m} epsilon={format_rational(rep.epsilon)}: "
+        f"failure_rate={format_rational(rep.failure_rate)} "
+        f"(~{float(rep.failure_rate):.6f}) +/- {rep.ci_halfwidth:.6f} "
+        f"[{rep.confidence:.0%}], errors={rep.errors}"
+        for rep in reports
+    ]
     _write_text(os.path.join(args.out, "summary.txt"), "\n".join(lines) + "\n")
 
     if per_trial:
-        with open(os.path.join(args.out, "trials.csv"), "w", encoding="utf-8", newline="") as handle:
-            writer = _csv_writer(handle)
-            writer.writerow(["m", "epsilon", "trial", "seed", "captured", "failed", "error"])
-            for rep in reports:
-                for rec in rep.records or ():
-                    writer.writerow(
-                        [rep.m, format_rational(rep.epsilon), rec.index, rec.seed,
-                         format_rational(rec.captured) if rec.captured is not None else "",
-                         int(rec.failed), rec.error or ""]
-                    )
+        _write_csv(
+            os.path.join(args.out, "trials.csv"),
+            ["m", "epsilon", "trial", "seed", "captured", "failed", "error"],
+            ([rep.m, format_rational(rep.epsilon), rec.index, rec.seed,
+              format_rational(rec.captured) if rec.captured is not None else "",
+              int(rec.failed), rec.error or ""] for rep in reports for rec in rep.records or ()),
+        )
 
     total_errors = sum(rep.errors for rep in reports)
     if total_errors:
@@ -195,13 +176,11 @@ def cmd_descend(args) -> int:
     cfg = load_config(args.config)
     scheme = cfg.build_scheme()
     size = cfg.build_domain().size
-    x_size = cfg.field("descend", "x_size", size)
-    if x_size is None:
-        raise ConfigError(f"{cfg.path}: descend.x_size is required for countable domains")
+    x_size = cfg.field("descend", "x_size")
     domain_size = x_size if size is None else min(x_size, size)
-    sub = cfg.field("descend", "y", None)
+    sub = cfg.field("descend", "y")
     if sub is None:
-        y_size = cfg.field("descend", "y_size", None)
+        y_size = cfg.field("descend", "y_size")
         if y_size is None:
             raise ConfigError(f"{cfg.path}: descend needs y or y_size")
         sub = list(range(y_size))
@@ -219,22 +198,8 @@ def cmd_descend(args) -> int:
         )
 
     witness = descend(scheme, domain_size, sub)
-    reduced = witness.reduced
-    lines = [
-        "# emx-descent-witness 1",
-        f"x: {witness.x}",
-        f"z_size: {witness.z_size}",
-        "y: " + " ".join(map(str, sorted(sub))),
-        f"reduced_m: {reduced.m}",
-    ]
-    for s in combinations(sorted(sub), scheme.m):
-        kept = reduced.sigma(s)
-        lines.append("sigma: " + " ".join(map(str, s)) + " | " + " ".join(map(str, sorted(kept))))
-    for t in combinations(sorted(sub), scheme.m - 1):
-        out = reduced.eta(t)
-        lines.append("eta: " + " ".join(map(str, t)) + " | " + " ".join(map(str, sorted(out))))
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "descent.txt"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(args.out, "descent.txt"), descent_to_text(witness))
     print(f"anchor x={witness.x}, |Z|={witness.z_size}, reduced scheme verified")
     return 0
 
@@ -263,34 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("config", help="experiment config (JSON)")
+    def add_config_command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.set_defaults(func=func)
 
-    p_verify = sub.add_parser("verify", help="check scheme soundness over subsets")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_eval = sub.add_parser("evaluate", help="Monte Carlo failure-rate measurement")
-    add_common(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
-
+    add_config_command("verify", "check scheme soundness over subsets", cmd_verify)
+    add_config_command("evaluate", "Monte Carlo failure-rate measurement", cmd_evaluate)
     p_search = sub.add_parser("search", help="existence search for bounded schemes")
     p_search.add_argument("n", type=int, help="domain size")
     p_search.add_argument("m", type=int, help="scheme arity (searches (m+1)-to-m)")
     p_search.add_argument("budget", type=int, help="max reconstruction size")
     p_search.add_argument("--out", default=None, help="directory for the witness dump")
     p_search.set_defaults(func=cmd_search)
-
-    p_descend = sub.add_parser("descend", help="reduce scheme arity on a sub-domain")
-    add_common(p_descend)
-    p_descend.set_defaults(func=cmd_descend)
-
-    p_compress = sub.add_parser("compress", help="one-shot chain compression with trace dump")
-    add_common(p_compress)
-    p_compress.set_defaults(func=cmd_compress)
-
+    add_config_command("descend", "reduce scheme arity on a sub-domain", cmd_descend)
+    add_config_command("compress", "one-shot chain compression with trace dump", cmd_compress)
     return parser
 
 

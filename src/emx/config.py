@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from types import UnionType
-from typing import Any, Literal, get_args, get_origin
+from typing import Any, Literal, NamedTuple, get_args, get_origin
 
 from .chains import DEFAULT_CAP
 from .core import Domain, FiniteDomain, FiniteSupportDistribution, naturals_domain
@@ -29,37 +29,53 @@ SCHEMA = "emx-experiment/1"
 # descend's sub-domain ids stay below this. At this pool and the largest
 # sample count `emx verify` peaks at about 96 MB RSS (Python 3.11).
 COUNTABLE_POOL_LIMIT = 1_000
-# A finite domain's tower orders all its ids at once, and a tower scheme
-# caches up to 1 024 reconstructions of up to `size` ids, so `domain.size`
+# A finite domain's tower orders all its ids at once, so `domain.size`
 # stays at or below this. At this size a random `emx verify` of 20 000
-# samples on a depth-2 tower peaks at about 104 MB RSS and takes 30 s
-# (pool 60) to 56 s (pool 2 000); `emx compress` of 3 points takes 0.01 s
-# (Python 3.11).
+# samples on a depth-2 tower peaks at about 46 MB RSS and takes 30 s
+# (pool 60) to 56 s (pool 2 000); `emx compress` of 3 points takes 0.01 s.
 DOMAIN_SIZE_LIMIT = 2_000
+# Each evaluate trial draws max(m) points into one list: at m = 4 000 000
+# three trials took 4 s and peaked at 111 MB RSS (Python 3.11).
+EVALUATE_M_LIMIT = 100_000
 
-# Every field a config may hold: section -> field -> (JSON type, minimum).
-# A Literal is one of its strings; int excludes booleans; a Fraction is a
-# rational (see parse_rational) in (0, 1]; a float is a number in (0, 1);
-# a list holds at least one value and none twice; `X | list[X]` also takes
-# a single X. A minimum applies to each item of a list.
-FIELDS: dict[str, dict[str, tuple[Any, int | None]]] = {
-    "domain": {"kind": (Literal["naturals", "calkin-wilf", "finite"], None), "size": (int, 1)},
-    "tower": {"depth": (int, 0), "seed": (int, None)},
-    "scheme": {"kind": (Literal["enumeration", "tower", "identity-eta"], None), "m": (int, 0)},
-    "learner": {"cap": (int, 1)},
-    "distribution": {"kind": (Literal["uniform-range", "explicit"], None), "lo": (int, None),
-                     "hi": (int, None), "masses": (dict[str, Fraction], None)},
-    "evaluate": {"m": (int | list[int], 0), "epsilon": (Fraction | list[Fraction], None),
-                 "trials": (int, 1), "seed": (int, None), "confidence": (float, None),
-                 "per_trial": (bool, None)},
-    "verify": {"mode": (Literal["exhaustive", "random"], None), "count": (int, 0),
-               "samples": (int, 1), "seed": (int, None), "pool": (int, 0)},
-    "descend": {"x_size": (int, 0), "y_size": (int, 0), "y": (list[int], None)},
-    "compress": {"points": (list[int], None)},
+
+class Field(NamedTuple):
+    """A config field: its JSON type, least and greatest value, and value
+    when absent (`...` if required, _DOMAIN_SIZE for the finite domain's
+    size). A Literal is one of its strings; int excludes booleans; a
+    Fraction is a rational (see parse_rational) in (0, 1]; a float is a
+    number in (0, 1); a list holds at least one value and none twice;
+    `X | list[X]` also takes an X. The minimum bounds each item of a list."""
+
+    kind: Any
+    minimum: int | None = None
+    maximum: int | None = None
+    default: Any = ...
+
+
+_DOMAIN_SIZE = object()
+# Every field a config may hold, by section.
+FIELDS: dict[str, dict[str, Field]] = {
+    "domain": {"kind": Field(Literal["naturals", "calkin-wilf", "finite"]),
+               "size": Field(int, 1, DOMAIN_SIZE_LIMIT)},
+    "tower": {"depth": Field(int, 0), "seed": Field(int)},
+    "scheme": {"kind": Field(Literal["enumeration", "tower", "identity-eta"]),
+               "m": Field(int, 0, default=1)},
+    "learner": {"cap": Field(int, 1, default=DEFAULT_CAP)},
+    "distribution": {"kind": Field(Literal["uniform-range", "explicit"]), "lo": Field(int),
+                     "hi": Field(int), "masses": Field(dict[str, Fraction])},
+    "evaluate": {"m": Field(int | list[int], 0, EVALUATE_M_LIMIT),
+                 "epsilon": Field(Fraction | list[Fraction]), "trials": Field(int, 1, default=1000),
+                 "seed": Field(int, default=0), "confidence": Field(float, default=0.99),
+                 "per_trial": Field(bool, default=False)},
+    "verify": {"mode": Field(Literal["exhaustive", "random"], default="exhaustive"),
+               "count": Field(int, 0, default=_DOMAIN_SIZE), "samples": Field(int, 1, default=100),
+               "seed": Field(int, default=0), "pool": Field(int, 0, default=_DOMAIN_SIZE)},
+    "descend": {"x_size": Field(int, 0, default=_DOMAIN_SIZE),
+                "y_size": Field(int, 0, default=None), "y": Field(list[int], default=None)},
+    "compress": {"points": Field(list[int])},
 }
 _TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number"}
-
-_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -86,9 +102,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _check_field(where: str, kind: Any, minimum: int | None, value: Any) -> Any:
-    """Check one value against its FIELDS entry and return it with
-    rationals parsed and a single X of an `X | list[X]` field as [X]."""
+def _check_field(where: str, field: Field, value: Any) -> Any:
+    """Check one value against its FIELDS entry, a list's largest item
+    against the maximum, and return it with rationals parsed and a single
+    X of an `X | list[X]` field as [X]."""
+    kind, minimum, maximum = field.kind, field.minimum, field.maximum
     if isinstance(kind, UnionType):
         kind = get_args(kind)[1]
         value = value if isinstance(value, list) else [value]
@@ -104,13 +122,16 @@ def _check_field(where: str, kind: Any, minimum: int | None, value: Any) -> Any:
             raise ConfigError(f"{where} must be {noun}, got {value!r}")
         item = get_args(kind)[-1]
         if container is dict:
-            return {k: _check_field(f"{where}[{k}]", item, minimum, v) for k, v in value.items()}
-        items = [_check_field(where, item, minimum, v) for v in value]
+            return {k: _check_field(f"{where}[{k}]", Field(item, minimum), v)
+                    for k, v in value.items()}
+        items = [_check_field(where, Field(item, minimum), v) for v in value]
         if not items:
             raise ConfigError(f"{where} must hold at least one value")
         if len(set(items)) < len(items):  # parsed, so "1/4" and "2/8" are one value
             twice = next(v for i, v in enumerate(items) if v in items[:i])
             raise ConfigError(f"{where} must hold distinct values, got {twice} twice")
+        if maximum is not None:
+            _check_field(where, Field(item, maximum=maximum), max(items))
         return items
     if kind is Fraction:
         value = parse_rational(value, where)
@@ -124,6 +145,8 @@ def _check_field(where: str, kind: Any, minimum: int | None, value: Any) -> Any:
         raise ConfigError(f"{where} must be in (0, 1), got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where} of {value} is above the {maximum} guard")
     return value
 
 
@@ -132,26 +155,27 @@ class ExperimentConfig:
     values: dict[str, dict[str, Any]]
     path: str
 
-    def field(self, section: str, name: str, default: Any = _REQUIRED) -> Any:
-        """The checked value of section.name, or default when it is absent
-        (required if no default); the section itself must be present."""
+    def field(self, section: str, name: str) -> Any:
+        """The checked value of section.name, or its FIELDS default when it
+        is absent; the section itself must be present."""
         if section not in self.values:
             raise ConfigError(f"{self.path}: missing section {section!r}")
-        got = self.values[section].get(name, default)
-        if got is _REQUIRED:
+        if name in self.values[section]:
+            return self.values[section][name]
+        default = FIELDS[section][name].default
+        if default is _DOMAIN_SIZE:
+            default = self.build_domain().size
+            if default is None:
+                raise ConfigError(f"{self.path}: {section}.{name} is required for countable domains")
+        if default is ...:
             raise ConfigError(f"{self.path}: missing field {section}.{name}")
-        return got
+        return default
 
     def build_domain(self) -> Domain:
         # calkin-wilf is an alias of naturals: the same ids, the same tower
         if self.field("domain", "kind") != "finite":
             return naturals_domain()
-        size = self.field("domain", "size")
-        if size > DOMAIN_SIZE_LIMIT:
-            raise ConfigError(
-                f"{self.path}: domain.size of {size} is above the {DOMAIN_SIZE_LIMIT} guard"
-            )
-        return FiniteDomain(size)
+        return FiniteDomain(self.field("domain", "size"))
 
     def build_tower(self, domain: Domain) -> OrderTower:
         if domain.size is None:
@@ -166,7 +190,7 @@ class ExperimentConfig:
             return enumeration_scheme(tower)
         if kind == "tower":
             return tower_scheme(tower)
-        return identity_eta_scheme(self.field("scheme", "m", 1))
+        return identity_eta_scheme(self.field("scheme", "m"))
 
     def build_distribution(self) -> FiniteSupportDistribution:
         """The configured distribution, after the domain its support must
@@ -213,16 +237,16 @@ class ExperimentConfig:
         return FiniteSupportDistribution.uniform(support) if dist is None else dist
 
     def build_learner(self, scheme: MonotoneScheme) -> EmxLearner:
-        cap = self.field("learner", "cap", DEFAULT_CAP) if "learner" in self.values else DEFAULT_CAP
-        return EmxLearner(scheme, scheme.m, cap)
+        return EmxLearner(scheme, scheme.m, self.field("learner", "cap"))
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a config file and check every field against FIELDS: unknown
     sections and fields, wrong JSON types, strings outside a field's
-    choices, values below a minimum or outside (0, 1], and empty or
-    repeating lists are ConfigErrors naming the field, and so is a key
-    repeated in one JSON object. JSON errors carry line and column."""
+    choices, values below a minimum or above a maximum or outside (0, 1],
+    and empty or repeating lists are ConfigErrors naming the field, and so
+    is a key repeated in one JSON object. JSON errors carry line and
+    column. `learner` may be left out: its field then takes its default."""
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         obj: dict[str, Any] = {}
@@ -244,7 +268,7 @@ def load_config(path: str) -> ExperimentConfig:
     schema = raw.pop("schema", None)
     if schema != SCHEMA:
         raise ConfigError(f"{path}: schema must be {SCHEMA!r}, got {schema!r}")
-    values = {}
+    values: dict[str, dict[str, Any]] = {"learner": {}}
     for section, given in raw.items():
         if section not in FIELDS:
             raise ConfigError(f"{path}: unknown section {section!r}")
@@ -254,7 +278,7 @@ def load_config(path: str) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown field {section}.{unknown[0]}")
         values[section] = {
-            name: _check_field(f"{path}: {section}.{name}", *FIELDS[section][name], value)
+            name: _check_field(f"{path}: {section}.{name}", FIELDS[section][name], value)
             for name, value in given.items()
         }
     return ExperimentConfig(values, path)

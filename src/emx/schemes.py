@@ -20,9 +20,11 @@ from typing import Callable, Iterable, Sequence
 from .towers import OrderTower
 
 
-# Reconstructions a tower scheme keeps per instance, least recently used
-# first out; on the naturals each reconstruction is a prefix 0..k.
-RECONSTRUCT_CACHE_SIZE = 1024
+# Point ids a tower scheme's cached reconstructions hold in all (LRU): one
+# on n points holds up to n ids, so 1 092 are kept at n = 60 and 13 at
+# n = 5 000. On the countable domain, whose prefixes 0..k have no such
+# bound, the scheme keeps 1 024, as on 64 points.
+RECONSTRUCT_CACHE_POINTS = 65_536  # 2**16
 
 
 class SchemeError(ValueError):
@@ -88,6 +90,7 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
     """
 
     levels = range(tower.depth, 0, -1)
+    points = 64 if tower.universe is None else len(tower.universe)
 
     def keep(points: frozenset[int]) -> tuple[int, ...]:
         """The extracted maxima in order, then the level-0 maximum of the rest."""
@@ -99,7 +102,7 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
             context += (top,)
         return (*context, max(rest, key=tower.keys(0, context)))
 
-    @lru_cache(maxsize=RECONSTRUCT_CACHE_SIZE)
+    @lru_cache(maxsize=max(1, RECONSTRUCT_CACHE_POINTS // points))
     def reconstruct(t: frozenset[int]) -> frozenset[int]:
         kept = keep(t)
         context, survivor = kept[:-1], kept[-1]

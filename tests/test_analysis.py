@@ -9,6 +9,7 @@ from emx.analysis import (
     SearchProblem,
     counting_refutes,
     descend,
+    descent_to_text,
     reconstruction_image,
     search_schemes,
     witness_to_text,
@@ -101,6 +102,21 @@ class TestDescend:
         assert report.checked == 28
         assert report.violations == ()
 
+    def test_witness_tables_are_the_reduced_scheme_on_y(self):
+        witness = descend(proxy_scheme(), PROXY_SIZE, [7, 2, 5, 3])
+        y, reduced = (2, 3, 5, 7), witness.reduced
+        assert witness.y == y
+        assert witness.sigma_table == tuple(
+            (s, tuple(sorted(reduced.sigma(s)))) for s in combinations(y, 2)
+        )
+        assert witness.eta_table == tuple((t, tuple(sorted(reduced.eta(t)))) for t in combinations(y, 1))
+        lines = descent_to_text(witness).splitlines()
+        assert lines[:5] == ["# emx-descent-witness 1", f"x: {witness.x}",
+                             f"z_size: {witness.z_size}", "y: 2 3 5 7", "reduced_m: 1"]
+        s, kept = witness.sigma_table[0]
+        assert lines[5] == f"sigma: {s[0]} {s[1]} | {kept[0]}"
+        assert len(lines) == 5 + comb(4, 2) + comb(4, 1)
+
     def test_desk_scale_failure_reports_image_size(self):
         # restrict the domain to the sub-domain itself: everything is covered
         with pytest.raises(DeskScaleError) as err:
@@ -110,9 +126,11 @@ class TestDescend:
     def test_unsound_scheme_fails_verification(self):
         # identity eta never recovers the dropped point, and its image
         # misses most of the domain, so an anchor exists but the reduced
-        # scheme is unsound
-        with pytest.raises((DescentError, DeskScaleError)):
+        # scheme is unsound; the error names the first unsound subset in
+        # lexicographic order, as verify_soundness lists them
+        with pytest.raises(DescentError) as err:
             descend(identity_eta_scheme(2), 30, range(5))
+        assert err.value.subset == frozenset({0, 1})
 
     def test_rejects_tiny_sub_domain_and_arity_zero(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 import emx
 import emx.cli
 from emx.analysis import SearchProblem, counting_refutes
-from emx.cli import EVALUATE_M_LIMIT, SEARCH_SUBSET_LIMIT, main
-from emx.config import DOMAIN_SIZE_LIMIT, FIELDS, ExperimentConfig, load_config, parse_rational
+from emx.cli import SEARCH_SUBSET_LIMIT, main
+from emx.config import (
+    DOMAIN_SIZE_LIMIT,
+    EVALUATE_M_LIMIT,
+    FIELDS,
+    ExperimentConfig,
+    load_config,
+    parse_rational,
+)
 from emx.core import FiniteDomain, FiniteSupportDistribution
 
 
@@ -1081,7 +1088,7 @@ def valid_values(section, name, kind=None):
     """Values a FIELDS entry accepts: a Literal's own strings, integers
     from -2 (or the field's minimum) to 12, rationals in (0, 1] with
     denominators up to 12, and lists that repeat no value."""
-    given, minimum = FIELDS[section][name]
+    given, minimum = FIELDS[section][name].kind, FIELDS[section][name].minimum
     kind = given if kind is None else kind
     if isinstance(kind, UnionType):
         return st.one_of(*(valid_values(section, name, k) for k in get_args(kind)))
@@ -1158,7 +1165,7 @@ ALL_SECTIONS = {
     "compress": {"points": [1, 2]},
 }
 LITERAL_FIELDS = [(section, name, get_args(kind)) for section, fields in FIELDS.items()
-                  for name, (kind, _) in fields.items() if get_origin(kind) is Literal]
+                  for name, (kind, *_) in fields.items() if get_origin(kind) is Literal]
 
 
 def with_field(tmp_path, section, name, value):
@@ -1247,3 +1254,42 @@ class TestDomainSizeGuard:
         out = tmp_path / "out"
         assert main(["compress", self.config(tmp_path, DOMAIN_SIZE_LIMIT), "--out", str(out)]) == 0
         assert (out / "trace.txt").read_text().startswith("# emx-trace 1\noriginal: 1 2\n")
+
+
+
+@pytest.mark.parametrize(
+    "command, section, field",
+    [("verify", {"verify": {"mode": "exhaustive"}}, "verify.count"),
+     ("verify", {"verify": {"mode": "random"}}, "verify.pool"),
+     ("descend", {"descend": {"y_size": 3}}, "descend.x_size")],
+)
+def test_size_field_is_required_on_countable_domains(tmp_path, capsys, command, section, field):
+    """A field that defaults to the finite domain's size has no default on
+    the naturals: leaving it out is one config error naming it."""
+    path = write_config(tmp_path, {"schema": "emx-experiment/1", **NATURALS, **section})
+    out = str(tmp_path / "out")
+    assert main([command, path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: {field} is required for countable domains\n"
+    )
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [("domain", {"kind": "naturals", "size": DOMAIN_SIZE_LIMIT + 1},
+      f"domain.size of {DOMAIN_SIZE_LIMIT + 1} is above the {DOMAIN_SIZE_LIMIT} guard"),
+     ("evaluate", {"m": [3, EVALUATE_M_LIMIT + 1, EVALUATE_M_LIMIT + 2], "epsilon": "1/4"},
+      f"evaluate.m of {EVALUATE_M_LIMIT + 2} is above the {EVALUATE_M_LIMIT} guard")],
+    ids=["domain.size", "evaluate.m"],
+)
+def test_maximum_is_checked_at_load(tmp_path, capsys, section, value, message):
+    """A value above its field's maximum stops a run at load, as one below
+    its minimum does, also where the command would not read it: the size
+    of a countable domain, evaluate.m in a verify config. A list's error
+    names its largest value."""
+    config = {"schema": "emx-experiment/1", **NATURALS, "verify": {"count": 5}, section: value}
+    path, out = write_config(tmp_path, config), str(tmp_path / "out")
+    assert main(["verify", path, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not os.path.exists(out)

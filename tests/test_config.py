@@ -155,5 +155,29 @@ class TestReadmeSchema:
         load_config(str(path))
 
     def test_field_table_lists_every_field(self):
-        rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", README.read_text(encoding="utf-8"), re.M)
-        assert rows == [(section, name) for section, fields in FIELDS.items() for name in fields]
+        """README's table lists every FIELDS entry in order, with its maximum
+        and its default: a constant, `required` (perhaps for one kind),
+        `none: ...`, or the finite domain's size."""
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if re.match(r"\| `\w+\.\w+` \|", line)
+        ]
+        assert [row[0] for row in rows] == [
+            f"`{section}.{name}`" for section, fields in FIELDS.items() for name in fields
+        ]
+        for cell, _, _, maximum, default in rows:
+            section, name = cell.strip("`").split(".")
+            field = FIELDS[section][name]
+            assert maximum == ("" if field.maximum is None else f"{field.maximum:,}".replace(",", " "))
+            if field.default is ...:
+                pattern = r"required( for `[\w-]+`)?"
+            elif field.default is None:
+                pattern = r"none: .+"
+            elif isinstance(field.default, str):
+                pattern = re.escape(f"`{field.default}`")
+            elif isinstance(field.default, (bool, int, float)):
+                pattern = re.escape(json.dumps(field.default))
+            else:
+                pattern = re.escape("the finite domain's size, else required")
+            assert re.fullmatch(pattern, default), f"{section}.{name}: {default!r}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from emx.core import FiniteDomain, naturals_domain
 from emx.schemes import (
-    RECONSTRUCT_CACHE_SIZE,
+    RECONSTRUCT_CACHE_POINTS,
     MonotoneScheme,
     SchemeError,
     enumeration_scheme,
@@ -67,16 +67,30 @@ class TestEnumerationScheme:
                 return frozenset({bound})
 
             def kernel(k):
-                return frozenset({k, k + RECONSTRUCT_CACHE_SIZE + 1} if depth else {k})
+                return frozenset({k, k + size + 1} if depth else {k})
 
             scheme = build(OrderTower(depth, lambda level, context: lambda pid: pid, below))
+            size = scheme.reconstructor.cache_info().maxsize
             for _ in range(2):
-                for k in range(RECONSTRUCT_CACHE_SIZE):
+                for k in range(size):
                     scheme.eta(kernel(k))
-            assert len(calls) == RECONSTRUCT_CACHE_SIZE  # the second pass hit every entry
-            scheme.eta(kernel(RECONSTRUCT_CACHE_SIZE))
+            assert len(calls) == size  # the second pass hit every entry
+            scheme.eta(kernel(size))
             assert scheme.eta(kernel(0)) == kernel(0)
-            assert len(calls) == RECONSTRUCT_CACHE_SIZE + 2  # kernel(0) was evicted and rebuilt
+            assert len(calls) == size + 2  # kernel(0) was evicted and rebuilt
+
+    @pytest.mark.parametrize("n", [2, 45, 60, 2_000, 5_000, 100_000])
+    def test_reconstruction_cache_holds_bounded_points(self, n):
+        # a reconstruction on n points holds up to n ids: the cache's ids
+        # stay within RECONSTRUCT_CACHE_POINTS, and up to 60 points (every
+        # tower the benchmark builds) it keeps at least 1 024 of them
+        scheme = tower_scheme(finite_proxy_tower(FiniteDomain(size=n), 2, 1))
+        size = scheme.reconstructor.cache_info().maxsize
+        assert size * n <= RECONSTRUCT_CACHE_POINTS or size == 1
+        assert size >= 1_024 or n > 60
+
+    def test_countable_reconstruction_cache_keeps_1024(self):
+        assert naturals_scheme().reconstructor.cache_info().maxsize == 1_024
 
     def test_sigma_raises_on_every_call(self):
         scheme = tower_scheme(finite_proxy_tower(FiniteDomain(size=6), 1, 4))
