@@ -13,7 +13,6 @@ import csv
 import os
 import sys
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .analysis import (
@@ -27,19 +26,11 @@ from .analysis import (
     witness_to_text,
 )
 from .chains import ResourceLimitError, compress_chain, trace_to_text
-from .config import (
-    COUNTABLE_POOL_LIMIT,
-    ConfigError,
-    ExperimentConfig,
-    format_rational,
-    load_config,
-)
+from .config import ConfigError, format_rational, load_config
 from .evaluation import evaluate  # noqa: F401  perfbench/tracer.py wraps it under this name
 from .evaluation import evaluate_grid
-from .schemes import SchemeError, seeded_subsets, verify_soundness
+from .schemes import SchemeError, verify_soundness
 
-EXHAUSTIVE_SUBSET_LIMIT = 200_000
-DESCEND_SUBSET_LIMIT = 20_000
 SEARCH_SUBSET_LIMIT = 2_000
 
 
@@ -55,37 +46,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _verify_subsets(cfg: ExperimentConfig, size: int | None, arity: int) -> list[frozenset[int]]:
-    mode = cfg.field("verify", "mode")
-    name = "count" if mode == "exhaustive" else "pool"
-    points = cfg.field("verify", name)
-    if points < arity + 1:  # fewer points than one subset: nothing would be checked
-        raise ConfigError(f"{cfg.path}: verify.{name} must be >= {arity + 1}, got {points}")
-    if mode == "random":
-        samples, seed = cfg.field("verify", "samples"), cfg.field("verify", "seed")
-        if samples > EXHAUSTIVE_SUBSET_LIMIT:
-            raise ConfigError(
-                f"{cfg.path}: random verify of {samples} samples is above the "
-                f"{EXHAUSTIVE_SUBSET_LIMIT} guard"
-            )
-        if size is None and points > COUNTABLE_POOL_LIMIT:
-            raise ConfigError(
-                f"{cfg.path}: random verify over a pool of {points} points of a countable "
-                f"domain is above the {COUNTABLE_POOL_LIMIT} guard"
-            )
-        return seeded_subsets(range(points), arity + 1, samples, seed)
-    if comb(points, arity + 1) > EXHAUSTIVE_SUBSET_LIMIT:
-        raise ConfigError(
-            f"{cfg.path}: exhaustive verify over {points} points needs "
-            f"{comb(points, arity + 1)} subsets, above the {EXHAUSTIVE_SUBSET_LIMIT} guard"
-        )
-    return [frozenset(c) for c in combinations(range(points), arity + 1)]
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     scheme = cfg.build_scheme()
-    subsets = _verify_subsets(cfg, cfg.build_domain().size, scheme.m)
+    subsets = cfg.verify_subsets(scheme.m)
     report = verify_soundness(scheme, subsets)
 
     os.makedirs(args.out, exist_ok=True)
@@ -175,29 +139,7 @@ def cmd_search(args) -> int:
 def cmd_descend(args) -> int:
     cfg = load_config(args.config)
     scheme = cfg.build_scheme()
-    size = cfg.build_domain().size
-    x_size = cfg.field("descend", "x_size")
-    domain_size = x_size if size is None else min(x_size, size)
-    sub = cfg.field("descend", "y")
-    if sub is None:
-        y_size = cfg.field("descend", "y_size")
-        if y_size is None:
-            raise ConfigError(f"{cfg.path}: descend needs y or y_size")
-        sub = list(range(y_size))
-
-    work = comb(len(sub), scheme.m) + comb(len(sub), scheme.m + 1)
-    if work > DESCEND_SUBSET_LIMIT:
-        raise ValueError(
-            f"descending over {len(sub)} points needs {work} subset "
-            f"evaluations, above the {DESCEND_SUBSET_LIMIT} guard"
-        )
-    if size is None and max(sub, default=0) >= COUNTABLE_POOL_LIMIT:
-        raise ConfigError(
-            f"{cfg.path}: descend sub-domain holds point {max(sub)} of a countable domain, "
-            f"at or above the {COUNTABLE_POOL_LIMIT} guard"
-        )
-
-    witness = descend(scheme, domain_size, sub)
+    witness = descend(scheme, *cfg.descend_inputs(scheme.m))
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "descent.txt"), descent_to_text(witness))
     print(f"anchor x={witness.x}, |Z|={witness.z_size}, reduced scheme verified")

@@ -2,8 +2,9 @@
 
 Rationals are written as "num/den" strings (or [num, den] pairs) in both
 configs and outputs. `load_config` checks every field against FIELDS in
-one pass, so the builders and commands read only checked values. Building
-the pieces from a config is deterministic, so identical configs produce
+one pass, and the ExperimentConfig methods that build a command's inputs
+check the rules that span fields, so commands get only checked values.
+Building from a config is deterministic, so identical configs produce
 byte-identical output artifacts.
 """
 
@@ -13,20 +14,23 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from types import UnionType
 from typing import Any, Literal, NamedTuple, get_args, get_origin
 
 from .chains import DEFAULT_CAP
 from .core import Domain, FiniteDomain, FiniteSupportDistribution, naturals_domain
 from .evaluation import EmxLearner
-from .schemes import MonotoneScheme, enumeration_scheme, identity_eta_scheme, tower_scheme
+from .schemes import MonotoneScheme, enumeration_scheme, identity_eta_scheme, seeded_subsets
+from .schemes import tower_scheme
 from .towers import OrderTower, enumerated_tower, finite_proxy_tower
 
 SCHEMA = "emx-experiment/1"
 # On a countable domain a reconstruction of ids below k is the prefix
 # 0..k, and a tower scheme caches up to 1 024 of them, so memory grows
-# with the largest id: random verify's pool, evaluate's support ids and
-# descend's sub-domain ids stay below this. At this pool and the largest
+# with the largest id: random verify's pool ids, evaluate's support ids
+# and descend's sub-domain ids stay below this. At this pool and the largest
 # sample count `emx verify` peaks at about 96 MB RSS (Python 3.11).
 COUNTABLE_POOL_LIMIT = 1_000
 # A finite domain's tower orders all its ids at once, so `domain.size`
@@ -37,6 +41,12 @@ DOMAIN_SIZE_LIMIT = 2_000
 # Each evaluate trial draws max(m) points into one list: at m = 4 000 000
 # three trials took 4 s and peaked at 111 MB RSS (Python 3.11).
 EVALUATE_M_LIMIT = 100_000
+# `emx verify` checks at most this many subsets: verify.samples drawn, or
+# all C(verify.count, m + 1).
+EXHAUSTIVE_SUBSET_LIMIT = 200_000
+# `emx descend` tabulates the sub-domain's subsets of m and of m + 1 points:
+# at most this many together.
+DESCEND_SUBSET_LIMIT = 20_000
 
 
 class Field(NamedTuple):
@@ -69,7 +79,8 @@ FIELDS: dict[str, dict[str, Field]] = {
                  "seed": Field(int, default=0), "confidence": Field(float, default=0.99),
                  "per_trial": Field(bool, default=False)},
     "verify": {"mode": Field(Literal["exhaustive", "random"], default="exhaustive"),
-               "count": Field(int, 0, default=_DOMAIN_SIZE), "samples": Field(int, 1, default=100),
+               "count": Field(int, 0, default=_DOMAIN_SIZE),
+               "samples": Field(int, 1, EXHAUSTIVE_SUBSET_LIMIT, default=100),
                "seed": Field(int, default=0), "pool": Field(int, 0, default=_DOMAIN_SIZE)},
     "descend": {"x_size": Field(int, 0, default=_DOMAIN_SIZE),
                 "y_size": Field(int, 0, default=None), "y": Field(list[int], default=None)},
@@ -229,15 +240,60 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.path}: distribution puts mass on point {pid}, outside the domain"
             )
-        if size is None and top >= COUNTABLE_POOL_LIMIT:
-            raise ConfigError(
-                f"{self.path}: distribution puts mass on point {top} of a countable domain, "
-                f"at or above the {COUNTABLE_POOL_LIMIT} guard"
-            )
+        self._check_countable_id("distribution puts mass on", top)
         return FiniteSupportDistribution.uniform(support) if dist is None else dist
 
     def build_learner(self, scheme: MonotoneScheme) -> EmxLearner:
         return EmxLearner(scheme, scheme.m, self.field("learner", "cap"))
+
+    def _check_countable_id(self, holder: str, top: int) -> None:
+        """Refuse top, the largest id of holder, on a countable domain at or above its guard."""
+        if top >= COUNTABLE_POOL_LIMIT and self.build_domain().size is None:
+            raise ConfigError(
+                f"{self.path}: {holder} point {top} of a countable domain, "
+                f"at or above the {COUNTABLE_POOL_LIMIT} guard"
+            )
+
+    def verify_subsets(self, arity: int) -> list[frozenset[int]]:
+        """The (arity + 1)-subsets of the first verify.count ids, or verify.samples
+        of those of the first verify.pool ids: at least one, checked before any is built."""
+        mode = self.field("verify", "mode")
+        name = "count" if mode == "exhaustive" else "pool"
+        points = self.field("verify", name)
+        if points < arity + 1:  # fewer points than one subset: nothing would be checked
+            raise ConfigError(f"{self.path}: verify.{name} must be >= {arity + 1}, got {points}")
+        if mode == "random":
+            self._check_countable_id("random verify's pool holds", points - 1)
+            samples, seed = self.field("verify", "samples"), self.field("verify", "seed")
+            return seeded_subsets(range(points), arity + 1, samples, seed)
+        total = comb(points, arity + 1)
+        if total > EXHAUSTIVE_SUBSET_LIMIT:
+            raise ConfigError(f"{self.path}: exhaustive verify over {points} points needs "
+                              f"{total} subsets, above the {EXHAUSTIVE_SUBSET_LIMIT} guard")
+        return [frozenset(c) for c in combinations(range(points), arity + 1)]
+
+    def descend_inputs(self, arity: int) -> tuple[int, list[int]]:
+        """Domain size (x_size, capped at a finite domain's size) and sub-domain
+        (y, or the ids below y_size) for `descend`, which refuses ids outside a
+        finite domain; the sub-domain's ids lie below an x_size that caps it."""
+        size = self.build_domain().size
+        x_size = self.field("descend", "x_size")
+        sub, y_size = self.field("descend", "y"), self.field("descend", "y_size")
+        if sub is None and y_size is None:
+            raise ConfigError(f"{self.path}: descend needs y or y_size")
+        sub = list(range(y_size)) if sub is None else sub
+        work = comb(len(sub), arity) + comb(len(sub), arity + 1)
+        if work > DESCEND_SUBSET_LIMIT:
+            raise ConfigError(f"{self.path}: descending over {len(sub)} points needs {work} "
+                              f"subset evaluations, above the {DESCEND_SUBSET_LIMIT} guard")
+        self._check_countable_id("descend sub-domain holds", max(sub, default=0))
+        if size is not None and size <= x_size:
+            return size, sub
+        first = min((pid for pid in sub if pid >= x_size), default=None)
+        if first is not None:
+            raise ConfigError(f"{self.path}: descend sub-domain holds point {first}, "
+                              f"at or above descend.x_size of {x_size}")
+        return x_size, sub
 
 
 def load_config(path: str) -> ExperimentConfig:

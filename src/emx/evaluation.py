@@ -22,8 +22,8 @@ from .core import expectation  # noqa: F401  perfbench/tracer.py wraps it under 
 from .schemes import MonotoneScheme, SchemeError
 from .seeds import split_seed
 
-# Point ids that evaluate_grid's sample memo, and its step memo, may each
-# hold in their keys before the memo is cleared.
+# Point ids that each of evaluate_grid's memos (sample, step, kernel) may
+# hold in its keys before it is cleared.
 EVALUATE_MEMO_POINTS = 1 << 14
 
 
@@ -107,12 +107,13 @@ def _learned_weight(
 ) -> int | ResourceLimitError:
     """Captured weight of the learner's hypothesis on a sample's distinct
     points, or the cap error its decompression hit, through evaluate_grid's
-    step and kernel memos; the step memo is cleared first once its keys
-    hold EVALUATE_MEMO_POINTS point ids."""
+    step and kernel memos; each is cleared first once its keys hold
+    EVALUATE_MEMO_POINTS ids (a step's next point and a kernel's rounds count)."""
     if len(distinct) < learner.d:
         return dist.captured_weight(distinct)
-    if len(steps) * (learner.d + 1) >= EVALUATE_MEMO_POINTS:
-        steps.clear()
+    for memo in (steps, kernels):
+        if len(memo) * (learner.d + 1) >= EVALUATE_MEMO_POINTS:
+            memo.clear()
     kernel = compress_kernel(distinct, learner.scheme, steps)
     rounds = len(distinct) - learner.d
     weight = kernels.get((kernel, rounds))
@@ -184,10 +185,10 @@ def evaluate_grid(
     - the step memo, passed to compress_kernel, maps each compression
       step (kept points, next point) to sigma's output;
     - the kernel memo, keyed by (kernel, rounds), keeps each kernel's
-      captured weight or cap error, so no kernel is decompressed twice.
-    The sample and step memos are each cleared once their keys hold
-    EVALUATE_MEMO_POINTS point ids: the sample memo before an insert, the
-    step memo before a sample is compressed. So every check still runs
+      captured weight or cap error, so no kernel it holds is decompressed again.
+    Each memo is cleared once its keys hold EVALUATE_MEMO_POINTS point
+    ids: the sample memo before an insert, the step and kernel memos before
+    a sample is compressed. So every check still runs
     once per distinct input: sigma's on each new step, the floor on each
     new distinct set. Errors other than the cap error are raised, never
     stored, so an unsound scheme raises at the same trial and m.

@@ -18,11 +18,14 @@ from hypothesis import strategies as st
 
 import emx
 import emx.cli
+import emx.config
 from emx.analysis import SearchProblem, counting_refutes
 from emx.cli import SEARCH_SUBSET_LIMIT, main
 from emx.config import (
+    COUNTABLE_POOL_LIMIT,
     DOMAIN_SIZE_LIMIT,
     EVALUATE_M_LIMIT,
+    EXHAUSTIVE_SUBSET_LIMIT,
     FIELDS,
     ExperimentConfig,
     load_config,
@@ -155,12 +158,12 @@ class TestVerify:
         def no_subsets(*args, **kwargs):
             raise AssertionError("subsets drawn past the guard")
 
-        monkeypatch.setattr(emx.cli, "seeded_subsets", no_subsets)
+        monkeypatch.setattr(emx.config, "seeded_subsets", no_subsets)
         out = tmp_path / "o"
         assert main(["verify", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "random verify of 200001 samples is above the 200000 guard" in err
+        assert "verify.samples of 200001 is above the 200000 guard" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("domain", [{"kind": "naturals"}, {"kind": "calkin-wilf"}])
@@ -182,12 +185,13 @@ class TestVerify:
         def no_subsets(*args, **kwargs):
             raise AssertionError("subsets drawn past the guard")
 
-        monkeypatch.setattr(emx.cli, "seeded_subsets", no_subsets)
+        monkeypatch.setattr(emx.config, "seeded_subsets", no_subsets)
         out = tmp_path / "o"
         assert main(["verify", config(1_001), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "pool of 1001 points of a countable domain is above the 1000 guard" in err
+        assert ("random verify's pool holds point 1000 of a countable domain, at or above the "
+                "1000 guard") in err
         assert not out.exists()
 
 
@@ -566,6 +570,43 @@ class TestDescend:
         )
         assert main(["descend", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "guard" in capsys.readouterr().err
+
+    @staticmethod
+    def finite_config(tmp_path, descend):
+        return write_config(
+            tmp_path,
+            {
+                "schema": "emx-experiment/1",
+                "domain": {"kind": "finite", "size": 60},
+                "tower": {"depth": 1, "seed": 3},
+                "scheme": {"kind": "tower"},
+                "descend": descend,
+            },
+        )
+
+    @pytest.mark.parametrize("descend, first", [({"x_size": 10, "y_size": 12}, 10),
+                                                ({"x_size": 10, "y": [3, 12, 0, 11, 1]}, 11)])
+    def test_sub_domain_at_x_size_names_it(self, tmp_path, monkeypatch, capsys, descend, first):
+        """Domain ids at or above descend.x_size are one config error naming
+        x_size and the smallest of them, before any descent."""
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descended past x_size")
+
+        monkeypatch.setattr(emx.cli, "descend", no_descent)
+        path, out = self.finite_config(tmp_path, descend), str(tmp_path / "o")
+        line = (f"config error: {path}: descend sub-domain holds point {first}, at or above "
+                "descend.x_size of 10\n")
+        assert main(["descend", path, "--out", out]) == 2
+        assert capsys.readouterr().err == line
+        run = run_cli_process(["descend", path, "--out", out])
+        assert (run.returncode, run.stderr) == (2, line)
+        assert not os.path.exists(out)
+
+    def test_sub_domain_outside_a_finite_domain_exits_two(self, tmp_path, capsys):
+        path = self.finite_config(tmp_path, {"y": [0, 1, 60]})
+        assert main(["descend", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: sub-domain must lie inside the domain\n"
 
 
 class TestCompress:
@@ -1067,7 +1108,6 @@ class TestDeterminism:
             assert read_all_outputs(first) == read_all_outputs(second)
 
 
-SMALL_INTS = st.integers(-2, 12)
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -1084,22 +1124,41 @@ COMMAND_SECTIONS = {
 FIELD_NAMES = [(section, name) for section, fields in FIELDS.items() for name in fields]
 
 
-def valid_values(section, name, kind=None):
+# Fields that hold point ids or counts of ids, which the countable-id guard
+# bounds. With the fields that have a maximum, they are the fields whose
+# integers the fuzzed configs may draw at a guard's edge.
+ID_FIELDS = {("verify", "count"), ("verify", "pool"), ("distribution", "lo"),
+             ("distribution", "hi"), ("distribution", "masses"), ("descend", "x_size"),
+             ("descend", "y_size"), ("descend", "y"), ("compress", "points")}
+EDGE_FIELDS = [(section, name) for section, name in FIELD_NAMES
+               if (section, name) in ID_FIELDS or FIELDS[section][name].maximum is not None]
+
+
+def valid_values(section, name, kind=None, edges=False):
     """Values a FIELDS entry accepts: a Literal's own strings, integers
     from -2 (or the field's minimum) to 12, rationals in (0, 1] with
-    denominators up to 12, and lists that repeat no value."""
-    given, minimum = FIELDS[section][name].kind, FIELDS[section][name].minimum
+    denominators up to 12, and lists that repeat no value. With edges,
+    the integers lie at and next to the guards they may reach instead: the
+    countable-id guard (COUNTABLE_POOL_LIMIT) and the field's maximum
+    (DOMAIN_SIZE_LIMIT, EVALUATE_M_LIMIT or EXHAUSTIVE_SUBSET_LIMIT), which
+    a value just above it breaks."""
+    field = FIELDS[section][name]
+    given, minimum = field.kind, field.minimum
     kind = given if kind is None else kind
+    ints = st.integers(-2 if minimum is None else minimum, 12)
+    if edges:
+        ints = st.sampled_from([COUNTABLE_POOL_LIMIT + step for step in (-1, 0, 1)])
+        if field.maximum is not None:
+            ints |= st.sampled_from([field.maximum, field.maximum + 1])
     if isinstance(kind, UnionType):
-        return st.one_of(*(valid_values(section, name, k) for k in get_args(kind)))
+        return st.one_of(*(valid_values(section, name, k, edges) for k in get_args(kind)))
     if get_origin(kind) is Literal:
         return st.sampled_from(get_args(kind))
     if get_origin(kind) is list:
-        return st.lists(valid_values(section, name, get_args(kind)[0]), min_size=1, max_size=3,
-                        unique_by=parse_rational)
+        return st.lists(valid_values(section, name, get_args(kind)[0], edges), min_size=1,
+                        max_size=3, unique_by=parse_rational)
     if get_origin(kind) is dict:
-        return st.dictionaries(SMALL_INTS.map(str), valid_values(section, name, Fraction),
-                               max_size=4)
+        return st.dictionaries(ints.map(str), valid_values(section, name, Fraction), max_size=4)
     if kind is Fraction:
         pairs = st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(1, d), st.just(d)))
         pairs = pairs.map(list)
@@ -1108,15 +1167,18 @@ def valid_values(section, name, kind=None):
         return st.booleans()
     if kind is float:
         return st.floats(0, 1, exclude_min=True, exclude_max=True)
-    return st.integers(-2 if minimum is None else minimum, 12)
+    return ints
 
 
 class TestFuzzedConfigs:
     """The exit-code contract on configs drawn from the field table. A
     drawn config holds the sections its command reads, now and then one
     more, and all their fields but at most two, with valid values. In
-    half of the examples up to three fields hold any JSON value instead,
-    and now and then so does a whole section or the schema tag."""
+    half of the examples one integer field of those sections holds values
+    at the edges of its guards (999 to 1 001 and its maximum, such as
+    2 000 and 2 001 for domain.size), so the guards are reached one at a
+    time. In half of the examples up to three fields hold any JSON value
+    instead, and now and then so does a whole section or the schema tag."""
 
     # too_slow times input generation, not the program, so a loaded machine
     # can trip it; it is suppressed here too for runs outside pytest's conftest
@@ -1130,10 +1192,15 @@ class TestFuzzedConfigs:
             wild = data.draw(st.sets(st.sampled_from(FIELD_NAMES), max_size=3))
         sections = {"domain", "tower", "scheme"} | COMMAND_SECTIONS[command]
         sections |= data.draw(st.sets(st.sampled_from(sorted(FIELDS)), max_size=1))
+        edged = None
+        if data.draw(st.booleans()):
+            edged = data.draw(st.sampled_from([f for f in EDGE_FIELDS if f[0] in sections]))
         config = {"schema": "emx-experiment/1"}
         for section, name in FIELD_NAMES:
             if section in sections and (section, name) not in absent:
-                values = ANY_JSON if (section, name) in wild else valid_values(section, name)
+                values = valid_values(section, name, edges=(section, name) == edged)
+                if (section, name) in wild:
+                    values = ANY_JSON
                 config.setdefault(section, {})[name] = data.draw(values)
         if wild and data.draw(st.booleans()):
             config[data.draw(st.sampled_from(sorted(config)))] = data.draw(ANY_JSON)
@@ -1280,13 +1347,17 @@ def test_size_field_is_required_on_countable_domains(tmp_path, capsys, command, 
     [("domain", {"kind": "naturals", "size": DOMAIN_SIZE_LIMIT + 1},
       f"domain.size of {DOMAIN_SIZE_LIMIT + 1} is above the {DOMAIN_SIZE_LIMIT} guard"),
      ("evaluate", {"m": [3, EVALUATE_M_LIMIT + 1, EVALUATE_M_LIMIT + 2], "epsilon": "1/4"},
-      f"evaluate.m of {EVALUATE_M_LIMIT + 2} is above the {EVALUATE_M_LIMIT} guard")],
-    ids=["domain.size", "evaluate.m"],
+      f"evaluate.m of {EVALUATE_M_LIMIT + 2} is above the {EVALUATE_M_LIMIT} guard"),
+     ("verify", {"count": 5, "samples": EXHAUSTIVE_SUBSET_LIMIT + 1},
+      f"verify.samples of {EXHAUSTIVE_SUBSET_LIMIT + 1} is above the {EXHAUSTIVE_SUBSET_LIMIT} "
+      "guard")],
+    ids=["domain.size", "evaluate.m", "verify.samples"],
 )
 def test_maximum_is_checked_at_load(tmp_path, capsys, section, value, message):
     """A value above its field's maximum stops a run at load, as one below
     its minimum does, also where the command would not read it: the size
-    of a countable domain, evaluate.m in a verify config. A list's error
+    of a countable domain, evaluate.m in a verify config, verify.samples
+    in an exhaustive verify. A list's error
     names its largest value."""
     config = {"schema": "emx-experiment/1", **NATURALS, "verify": {"count": 5}, section: value}
     path, out = write_config(tmp_path, config), str(tmp_path / "out")

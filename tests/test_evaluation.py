@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import emx.evaluation
 from emx.chains import DEFAULT_CAP, ResourceLimitError, compress_chain, decompress_chain
@@ -318,6 +318,14 @@ def repeating_cases(draw):
     return learner, dist, m_values, epsilons, trials, seed
 
 
+def cap_error_learner():
+    """A depth-1 tower learner on 2 000 ids with cap 1: on uniform draws
+    nearly every sample compresses to a kernel not met before, and each
+    decompression ends in a cap error."""
+    tower = finite_proxy_tower(FiniteDomain(size=2000), 1, 3)
+    return EmxLearner(tower_scheme(tower), d=2, cap=1)
+
+
 class TestEvaluateOracle:
     @given(evaluation_cases())
     @settings(max_examples=150, deadline=None)
@@ -325,10 +333,12 @@ class TestEvaluateOracle:
         assert_matches_reference(case)
 
     @given(repeating_cases())
+    @example((cap_error_learner(), FiniteSupportDistribution.uniform(range(2000)), [3],
+              [Fraction(1, 4)], 30, 1))
     @settings(max_examples=100, deadline=None)
     def test_memos_match_the_reference_at_any_budget(self, case):
-        """The sample and step memos change no record, no count and no
-        error, also at a budget of one point id, which clears each memo
+        """The sample, step and kernel memos change no record, no count and
+        no error, also at a budget of one point id, which clears each memo
         before nearly every insert."""
         reports = assert_matches_reference(case)
         with patch.object(emx.evaluation, "EVALUATE_MEMO_POINTS", 1):
@@ -376,6 +386,26 @@ class TestEvaluateOracle:
         monkeypatch.setattr(emx.evaluation, "EVALUATE_MEMO_POINTS", 1)
         evaluate_grid(learner, dist, m_values, [Fraction(1, 4)], trials, seed)
         assert calls == cleared
+
+    def test_kernel_memo_is_cleared_at_the_budget(self, monkeypatch):
+        """A run whose every trial meets a new kernel keeps at most
+        EVALUATE_MEMO_POINTS ids in the kernel memo's keys, counting a
+        kernel's rounds as one: at a budget of 30 and d = 2, 10 keys."""
+        learner = cap_error_learner()
+        sizes = []
+        learned = emx.evaluation._learned_weight
+
+        def spy(learner, dist, distinct, steps, kernels):
+            weight = learned(learner, dist, distinct, steps, kernels)
+            sizes.append(len(kernels))
+            return weight
+
+        monkeypatch.setattr(emx.evaluation, "_learned_weight", spy)
+        monkeypatch.setattr(emx.evaluation, "EVALUATE_MEMO_POINTS", 30)
+        dist = FiniteSupportDistribution.uniform(range(2000))
+        report = evaluate_grid(learner, dist, [3], [Fraction(1, 4)], 200, 1)[0]
+        assert report.errors == 200 and len(sizes) > 100
+        assert max(sizes) == 10
 
     @given(
         distributions(range(1, 40)),

@@ -243,3 +243,56 @@ def test_every_export_is_used():
 )
 def test_referenced_names_rule(source, strings, found):
     assert referenced_names(ast.parse(source), strings) == found
+
+
+def config_checks(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of what a module does that is emx.config's to decide:
+    each `ConfigError(...)` it constructs, each `*_LIMIT` name it imports or
+    reads from another module, and each `comb` or `combinations` it reads
+    outside `cmd_search`, whose guard reads argv rather than a config."""
+    found = []
+
+    def name_of(node: ast.AST) -> str | None:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def visit(node: ast.AST, in_search: bool) -> None:
+        if isinstance(node, ast.FunctionDef):
+            in_search = in_search or node.name == "cmd_search"
+        if isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, a.name) for a in node.names if a.name.endswith("_LIMIT"))
+        name = name_of(node)
+        if isinstance(node, ast.Attribute) and name.endswith("_LIMIT") or (
+            name in ("comb", "combinations") and not in_search
+        ):
+            found.append((node.lineno, name))
+        if isinstance(node, ast.Call) and name_of(node.func) == "ConfigError":
+            found.append((node.lineno, "ConfigError"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_search)
+
+    visit(tree, False)
+    return sorted(found)
+
+
+def test_cli_checks_no_config():
+    """Every rule about what a config may ask for lives in emx.config:
+    emx.cli loads, builds, runs, writes and maps errors to exit codes."""
+    assert config_checks(ast.parse((ROOT / "cli.py").read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("raise ConfigError('x')", [(1, "ConfigError")]),
+        ("raise config.ConfigError('x')", [(1, "ConfigError")]),
+        ("EXIT = ((ConfigError, 2),)\nisinstance(err, ConfigError)", []),
+        ("from .config import COUNTABLE_POOL_LIMIT, load_config", [(1, "COUNTABLE_POOL_LIMIT")]),
+        ("import emx.config\nemx.config.DOMAIN_SIZE_LIMIT", [(2, "DOMAIN_SIZE_LIMIT")]),
+        ("SEARCH_SUBSET_LIMIT = 2_000\nn > SEARCH_SUBSET_LIMIT", []),
+        ("from math import comb\ndef cmd_search(args):\n    return comb(5, 2)", []),
+        ("def cmd_descend(args):\n    return comb(5, 2)", [(2, "comb")]),
+        ("def f():\n    return list(itertools.combinations(x, 2))", [(2, "combinations")]),
+    ],
+)
+def test_config_check_rule(source, found):
+    assert config_checks(ast.parse(source)) == found
