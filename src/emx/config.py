@@ -83,8 +83,8 @@ FIELDS: dict[str, dict[str, Field]] = {
                "samples": Field(int, 1, EXHAUSTIVE_SUBSET_LIMIT, default=100),
                "seed": Field(int, default=0), "pool": Field(int, 0, default=_DOMAIN_SIZE)},
     "descend": {"x_size": Field(int, 0, default=_DOMAIN_SIZE),
-                "y_size": Field(int, 0, default=None), "y": Field(list[int], default=None)},
-    "compress": {"points": Field(list[int])},
+                "y_size": Field(int, 0, default=None), "y": Field(list[int], 0, default=None)},
+    "compress": {"points": Field(list[int], 0)},
 }
 _TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number"}
 
@@ -256,12 +256,15 @@ class ExperimentConfig:
 
     def verify_subsets(self, arity: int) -> list[frozenset[int]]:
         """The (arity + 1)-subsets of the first verify.count ids, or verify.samples
-        of those of the first verify.pool ids: at least one, checked before any is built."""
+        of those of the first verify.pool ids: at least one, all in the domain,
+        checked before any is built."""
         mode = self.field("verify", "mode")
         name = "count" if mode == "exhaustive" else "pool"
-        points = self.field("verify", name)
+        points, size = self.field("verify", name), self.build_domain().size
         if points < arity + 1:  # fewer points than one subset: nothing would be checked
             raise ConfigError(f"{self.path}: verify.{name} must be >= {arity + 1}, got {points}")
+        if size is not None and points > size:
+            raise ConfigError(f"{self.path}: verify.{name} of {points} is above domain.size {size}")
         if mode == "random":
             self._check_countable_id("random verify's pool holds", points - 1)
             samples, seed = self.field("verify", "samples"), self.field("verify", "seed")
@@ -331,8 +334,9 @@ def load_config(path: str) -> ExperimentConfig:
         if not isinstance(given, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
         unknown = [name for name in given if name not in FIELDS[section]]
-        if unknown:
-            raise ConfigError(f"{path}: unknown field {section}.{unknown[0]}")
+        if unknown:  # a name that would break the one-line message is shown as its repr
+            name = unknown[0] if unknown[0].isprintable() else repr(unknown[0])
+            raise ConfigError(f"{path}: unknown field {section}.{name}")
         values[section] = {
             name: _check_field(f"{path}: {section}.{name}", FIELDS[section][name], value)
             for name, value in given.items()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .chains import DEFAULT_CAP, ResourceLimitError, compress_kernel, decompress_chain
 from .chains import compress_chain  # noqa: F401  perfbench/tracer.py wraps it under this name
@@ -22,7 +22,7 @@ from .core import expectation  # noqa: F401  perfbench/tracer.py wraps it under 
 from .schemes import MonotoneScheme, SchemeError
 from .seeds import split_seed
 
-# Point ids that each of evaluate_grid's memos (sample, step, kernel) may
+# Point ids that each of learned_weights' memos (sample, step, kernel) may
 # hold in its keys before it is cleared.
 EVALUATE_MEMO_POINTS = 1 << 14
 
@@ -98,34 +98,64 @@ def normal_quantile(p: float) -> float:
     return (lo + hi) / 2
 
 
-def _learned_weight(
-    learner: EmxLearner,
-    dist: FiniteSupportDistribution,
-    distinct: frozenset[int],
-    steps: dict[tuple[frozenset[int], int], frozenset[int]],
-    kernels: dict[tuple[frozenset[int], int], int | ResourceLimitError],
-) -> int | ResourceLimitError:
-    """Captured weight of the learner's hypothesis on a sample's distinct
-    points, or the cap error its decompression hit, through evaluate_grid's
-    step and kernel memos; each is cleared first once its keys hold
-    EVALUATE_MEMO_POINTS ids (a step's next point and a kernel's rounds count)."""
-    if len(distinct) < learner.d:
-        return dist.captured_weight(distinct)
-    for memo in (steps, kernels):
-        if len(memo) * (learner.d + 1) >= EVALUATE_MEMO_POINTS:
-            memo.clear()
-    kernel = compress_kernel(distinct, learner.scheme, steps)
-    rounds = len(distinct) - learner.d
-    weight = kernels.get((kernel, rounds))
-    if weight is None:
-        try:
-            weight = dist.captured_weight(
-                decompress_chain(kernel, learner.scheme, rounds, learner.cap)
-            )
-        except ResourceLimitError as err:
-            # kept without its traceback, which holds the decompression's frames
-            weight = err.with_traceback(None)
-        kernels[kernel, rounds] = weight
+class LostSampleMass(SchemeError):
+    """A hypothesis captured less than its own sample's mass (scheme unsound)."""
+
+
+def learned_weights(
+    learner: EmxLearner, dist: FiniteSupportDistribution
+) -> Callable[[frozenset[int]], int | ResourceLimitError]:
+    """One run's memoized map from a sample's distinct set S to the captured
+    weight of apply_learner's hypothesis on it, or its cap error.
+
+    The hypothesis depends only on S, and a compression step only on the
+    kept points and the next point, so three memos share work across calls:
+    the sample memo, read first, maps each S learned to its result; the step
+    memo, passed to compress_kernel, maps each (kept points, next point) to
+    sigma's output; the kernel memo maps each (kernel, rounds) to its result.
+    Before a new S is learned, each memo whose keys hold EVALUATE_MEMO_POINTS
+    point ids is cleared (a step's next point and a kernel's rounds count one
+    each). So sigma's checks run once per new step, and the floor check once
+    per new S: it raises LostSampleMass if the hypothesis captures less than
+    S's own weight. Errors other than the cap error are never stored.
+    """
+    d, scheme = learner.d, learner.scheme
+    samples: dict[frozenset[int], int | ResourceLimitError] = {}
+    steps: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+    kernels: dict[tuple[frozenset[int], int], int | ResourceLimitError] = {}
+    sample_points = 0  # point ids held in the sample memo's keys
+
+    def weight(distinct: frozenset[int]) -> int | ResourceLimitError:
+        nonlocal sample_points
+        found = samples.get(distinct)
+        if found is not None:
+            return found
+        if sample_points >= EVALUATE_MEMO_POINTS:
+            samples.clear()
+            sample_points = 0
+        for memo in (steps, kernels):
+            if len(memo) * (d + 1) >= EVALUATE_MEMO_POINTS:
+                memo.clear()
+        if len(distinct) < d:
+            found = dist.captured_weight(distinct)
+        else:
+            kernel = compress_kernel(distinct, scheme, steps)
+            rounds = len(distinct) - d
+            found = kernels.get((kernel, rounds))
+            if found is None:
+                try:
+                    hypothesis = decompress_chain(kernel, scheme, rounds, learner.cap)
+                    found = dist.captured_weight(hypothesis)
+                except ResourceLimitError as err:
+                    # kept without its traceback, which holds the decompression's frames
+                    found = err.with_traceback(None)
+                kernels[kernel, rounds] = found
+            if not isinstance(found, ResourceLimitError) and found < dist.captured_weight(distinct):
+                raise LostSampleMass("hypothesis lost sample mass (scheme unsound)")
+        samples[distinct] = found
+        sample_points += len(distinct)
+        return found
+
     return weight
 
 
@@ -163,36 +193,14 @@ def evaluate_grid(
     draw of m points from the same seed gives, so every cell equals a run
     of that cell alone, and identical arguments reproduce the reports
     exactly. The cells share their trials' draws, so their rates are
-    correlated, not independent. Each (trial, m) is learned at most once;
-    every epsilon only moves the threshold on its captured weight.
+    correlated, not independent. Each (trial, m) reads its captured weight
+    from one learned_weights function for the run; every epsilon only moves
+    the threshold on it, an integer weight over the common denominator.
 
     Learner errors (reconstruction cap) are counted separately, never
-    dropped; a cell's failure rate is over its completed trials. The
-    hypothesis is finite by construction, and each distinct set is checked
-    to capture at least its own mass, which a sound
-    scheme guarantees because the reconstruction contains the sample; an
-    unsound scheme raises SchemeError naming the first such trial and m.
-
-    Each sample is compressed to its kernel alone, without building a
-    CompressionTrace, which only `emx compress` needs.
-    Masses are compared as integer weights over the common denominator.
-    The learner's hypothesis depends only on the sample's distinct set,
-    so three memos for the whole run share its work across trials:
-    - the sample memo maps each distinct set already learned to its
-      captured weight or its cap error, and is read before anything else
-      is computed for a (trial, m); a set is stored only after its floor
-      check passed;
-    - the step memo, passed to compress_kernel, maps each compression
-      step (kept points, next point) to sigma's output;
-    - the kernel memo, keyed by (kernel, rounds), keeps each kernel's
-      captured weight or cap error, so no kernel it holds is decompressed again.
-    Each memo is cleared once its keys hold EVALUATE_MEMO_POINTS point
-    ids: the sample memo before an insert, the step and kernel memos before
-    a sample is compressed. So every check still runs
-    once per distinct input: sigma's on each new step, the floor on each
-    new distinct set. Errors other than the cap error are raised, never
-    stored, so an unsound scheme raises at the same trial and m.
-    TrialRecords are built only with keep_records.
+    dropped; a cell's failure rate is over its completed trials. A
+    hypothesis that loses sample mass raises SchemeError naming the first
+    such trial and m. TrialRecords are built only with keep_records.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -211,10 +219,7 @@ def evaluate_grid(
     # captured <= 1 - eps  iff  weight * (1 - eps).den <= (1 - eps).num * D
     limits = [((1 - eps).denominator, (1 - eps).numerator * denom) for eps in epsilons]
     largest = m_values[-1]
-    samples: dict[frozenset[int], int | ResourceLimitError] = {}
-    sample_points = 0  # point ids held in the sample memo's keys
-    steps: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-    kernels: dict[tuple[frozenset[int], int], int | ResourceLimitError] = {}
+    weight_of = learned_weights(learner, dist)
     failures = [[0] * len(epsilons) for _ in m_values]
     errors = [0] * len(m_values)
     # per m, one (index, seed, weight or error text) per trial; kept only for records
@@ -225,20 +230,10 @@ def evaluate_grid(
         draws = draw_sample(dist, largest, child)
         for cell, m in enumerate(m_values):
             distinct = frozenset(draws if m == largest else draws[:m])
-            weight = samples.get(distinct)
-            if weight is None:
-                weight = _learned_weight(learner, dist, distinct, steps, kernels)
-                if not isinstance(weight, ResourceLimitError) and (
-                    weight < dist.captured_weight(distinct)
-                ):
-                    raise SchemeError(
-                        f"trial {index}, m={m}: hypothesis lost sample mass (scheme unsound)"
-                    )
-                if sample_points >= EVALUATE_MEMO_POINTS:
-                    samples.clear()
-                    sample_points = 0
-                samples[distinct] = weight
-                sample_points += len(distinct)
+            try:
+                weight = weight_of(distinct)
+            except LostSampleMass as err:
+                raise SchemeError(f"trial {index}, m={m}: {err}") from None
             if isinstance(weight, ResourceLimitError):
                 errors[cell] += 1
                 if keep_records:

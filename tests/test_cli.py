@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -770,8 +771,18 @@ class TestExitCodes:
             ),
             pytest.param(
                 "compress", {**NATURALS, "compress": {"points": [1, -4, 3]}},
-                "point -4",
+                "compress.points must be >= 0, got -4",
                 id="negative-point-on-naturals",
+            ),
+            pytest.param(
+                "compress", {**TEN_POINT_TOWER, "compress": {"points": [-2, -1]}},
+                "compress.points must be >= 0, got -2",
+                id="negative-points-that-need-no-step",
+            ),
+            pytest.param(
+                "descend", {**TEN_POINT_TOWER, "descend": {"y": [-1]}},
+                "descend.y must be >= 0, got -1",
+                id="descend-y-negative",
             ),
             pytest.param(
                 "compress", {**NATURALS, "compress": {"points": 5}},
@@ -863,6 +874,18 @@ class TestExitCodes:
                 id="verify-pool-below-one-subset",
             ),
             pytest.param(
+                "verify", {**TEN_POINT_TOWER, "verify": {"count": 12}},
+                "verify.count of 12 is above domain.size 10",
+                id="verify-count-above-the-domain-size",
+            ),
+            pytest.param(
+                "verify",
+                {**TEN_POINT_TOWER, "scheme": {"kind": "identity-eta", "m": 1},
+                 "verify": {"mode": "random", "pool": 11}},
+                "verify.pool of 11 is above domain.size 10",
+                id="verify-pool-above-the-domain-size",
+            ),
+            pytest.param(
                 "evaluate",
                 {**NATURALS, "distribution": {"kind": "uniform-range", "lo": 1, "hi": 5},
                  "evaluate": {**EXPLICIT_EVAL["evaluate"], "per_trial": "false"}},
@@ -880,6 +903,11 @@ class TestExitCodes:
                  "evaluate": {**EXPLICIT_EVAL["evaluate"], "trails": 10}},
                 "unknown field evaluate.trails",
                 id="misspelt-evaluate-field",
+            ),
+            pytest.param(
+                "compress", {**NATURALS, "compress": {"points": [1, 2], "\n": 1}},
+                "unknown field compress.'\\n'",
+                id="field-name-with-a-newline",
             ),
             pytest.param(
                 "compress", {**NATURALS, "compres": {"points": [1, 2]}},
@@ -907,14 +935,14 @@ class TestExitCodes:
             ({**TEN_POINT_TOWER, "compress": {"points": [1, 2, 100]}},
              "error: point 100 is not in the domain\n"),
             ({**NATURALS, "compress": {"points": [1, 2, -3]}},
-             "error: point -3 is not in the domain\n"),
+             "config error: {path}: compress.points must be >= 0, got -3\n"),
         ],
         ids=["finite-domain", "naturals"],
     )
     def test_point_outside_domain_message(self, tmp_path, capsys, sections, line):
         cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
         assert main(["compress", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == line
+        assert capsys.readouterr().err == line.format(path=cfg)
 
     @pytest.mark.parametrize(
         "section, text, key",
@@ -1170,6 +1198,27 @@ def valid_values(section, name, kind=None, edges=False):
     return ints
 
 
+# Each guard that one field's edge values reach: the stderr line it prints,
+# and values of other fields that let it apply or keep the runs short (None:
+# left out). The samples guard applies at load in either mode, and
+# exhaustive runs do not draw the 200 000 samples below it.
+GUARDS = {
+    ("domain", "size"): (r"domain\.size of 2001 is above the 2000 guard", {}),
+    ("evaluate", "m"): (r"evaluate\.m of 100001 is above the 100000 guard", {}),
+    ("distribution", "hi"): (r"distribution puts mass on point \d+ of a countable domain, at",
+                             {("distribution", "kind"): "uniform-range"}),
+    ("verify", "count"): (r"exhaustive verify over \d+ points needs \d+ subsets, above",
+                          {("verify", "mode"): "exhaustive"}),
+    ("verify", "samples"): (r"verify\.samples of 200001 is above the 200000 guard",
+                            {("verify", "mode"): "exhaustive"}),
+    ("verify", "pool"): (r"random verify's pool holds point \d+ of a countable domain, at",
+                         {("verify", "mode"): "random"}),
+    ("descend", "y_size"): (r"descending over \d+ points needs \d+ subset evaluations, above",
+                            {("descend", "y"): None}),
+    ("descend", "y"): (r"descend sub-domain holds point \d+ of a countable domain, at", {}),
+}
+
+
 class TestFuzzedConfigs:
     """The exit-code contract on configs drawn from the field table. A
     drawn config holds the sections its command reads, now and then one
@@ -1180,20 +1229,24 @@ class TestFuzzedConfigs:
     time. In half of the examples up to three fields hold any JSON value
     instead, and now and then so does a whole section or the schema tag."""
 
-    # too_slow times input generation, not the program, so a loaded machine
-    # can trip it; it is suppressed here too for runs outside pytest's conftest
-    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.data())
-    def test_exit_code_contract(self, data):
-        command = data.draw(st.sampled_from(sorted(COMMAND_SECTIONS)))
+    @staticmethod
+    def run_drawn_config(data, guarded=None, fixed=None):
+        """Draw a config, run it, check the contract and return its stderr.
+        A guarded field is always at its edges, in a command that reads it,
+        and the fields in fixed take their given values (None: left out)."""
+        fixed = fixed or {}
+        commands = sorted(command for command, reads in COMMAND_SECTIONS.items()
+                          if guarded is None or guarded[0] in {"domain"} | reads)
+        command = data.draw(st.sampled_from(commands))
         absent = data.draw(st.sets(st.sampled_from(FIELD_NAMES), max_size=2))
+        absent = (absent - {guarded}) | {field for field, value in fixed.items() if value is None}
         wild = set()
         if data.draw(st.booleans()):
             wild = data.draw(st.sets(st.sampled_from(FIELD_NAMES), max_size=3))
         sections = {"domain", "tower", "scheme"} | COMMAND_SECTIONS[command]
         sections |= data.draw(st.sets(st.sampled_from(sorted(FIELDS)), max_size=1))
-        edged = None
-        if data.draw(st.booleans()):
+        edged = guarded
+        if guarded is None and data.draw(st.booleans()):
             edged = data.draw(st.sampled_from([f for f in EDGE_FIELDS if f[0] in sections]))
         config = {"schema": "emx-experiment/1"}
         for section, name in FIELD_NAMES:
@@ -1201,6 +1254,8 @@ class TestFuzzedConfigs:
                 values = valid_values(section, name, edges=(section, name) == edged)
                 if (section, name) in wild:
                     values = ANY_JSON
+                if (section, name) in fixed:
+                    values = st.just(fixed[section, name])
                 config.setdefault(section, {})[name] = data.draw(values)
         if wild and data.draw(st.booleans()):
             config[data.draw(st.sampled_from(sorted(config)))] = data.draw(ANY_JSON)
@@ -1214,6 +1269,30 @@ class TestFuzzedConfigs:
         assert code in (0, 1, 2, 3)
         if code:
             assert stderr.getvalue().count("\n") <= 1
+        return stderr.getvalue()
+
+    # too_slow times input generation, not the program, so a loaded machine
+    # can trip it; it is suppressed here too for runs outside pytest's conftest
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_exit_code_contract(self, data):
+        self.run_drawn_config(data)
+
+    @pytest.mark.parametrize("guarded", GUARDS, ids=".".join)
+    def test_each_guard_is_reached(self, guarded):
+        """Sampling favours early fields, so each of these guards gets
+        examples of its own, all with its field at the edges, and one of
+        them must end at that guard."""
+        line, fixed = GUARDS[guarded]
+        endings = []
+
+        @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def run(data):
+            endings.append(self.run_drawn_config(data, guarded, fixed))
+
+        run()
+        assert any(re.search(line + ".*\n$", err) for err in endings)
 
 
 # Every section, each with the fields that any choice of a Literal field

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
 from unittest.mock import patch
@@ -389,23 +391,33 @@ class TestEvaluateOracle:
 
     def test_kernel_memo_is_cleared_at_the_budget(self, monkeypatch):
         """A run whose every trial meets a new kernel keeps at most
-        EVALUATE_MEMO_POINTS ids in the kernel memo's keys, counting a
-        kernel's rounds as one: at a budget of 30 and d = 2, 10 keys."""
-        learner = cap_error_learner()
+        EVALUATE_MEMO_POINTS ids in each memo's keys before an insert,
+        counting a step's next point and a kernel's rounds as one: at a
+        budget of 30, d = 2 and samples of at most 3 points, 10 step and
+        10 kernel keys, and under 33 ids in the sample memo's keys."""
+        learned = emx.evaluation.learned_weights
         sizes = []
-        learned = emx.evaluation._learned_weight
 
-        def spy(learner, dist, distinct, steps, kernels):
-            weight = learned(learner, dist, distinct, steps, kernels)
-            sizes.append(len(kernels))
-            return weight
+        def spy(learner, dist):
+            weight = learned(learner, dist)
+            cells = dict(zip(weight.__code__.co_freevars, weight.__closure__))
+            memos = [cells[name].cell_contents for name in ("samples", "steps", "kernels")]
 
-        monkeypatch.setattr(emx.evaluation, "_learned_weight", spy)
+            def spied(distinct):
+                found = weight(distinct)
+                samples, steps, kernels = memos
+                sizes.append((sum(map(len, samples)), len(steps), len(kernels)))
+                return found
+
+            return spied
+
+        monkeypatch.setattr(emx.evaluation, "learned_weights", spy)
         monkeypatch.setattr(emx.evaluation, "EVALUATE_MEMO_POINTS", 30)
         dist = FiniteSupportDistribution.uniform(range(2000))
-        report = evaluate_grid(learner, dist, [3], [Fraction(1, 4)], 200, 1)[0]
-        assert report.errors == 200 and len(sizes) > 100
-        assert max(sizes) == 10
+        report = evaluate_grid(cap_error_learner(), dist, [3], [Fraction(1, 4)], 200, 1)[0]
+        assert report.errors == 200 and len(sizes) == 200
+        points, steps, kernels = (max(column) for column in zip(*sizes))
+        assert (steps, kernels) == (10, 10) and 30 <= points < 33
 
     @given(
         distributions(range(1, 40)),
@@ -507,6 +519,54 @@ class TestEvaluateOracle:
             evaluate(learner, dist, 2, Fraction(1, 4), 50, seed)
         assert str(got.value) == str(want.value)
         assert not str(got.value).startswith("trial 0:")
+
+
+class TestLearnedWeights:
+    """learned_weights against apply_learner, its unmemoized definition."""
+
+    @pytest.mark.parametrize("budget", [emx.evaluation.EVALUATE_MEMO_POINTS, 1])
+    @pytest.mark.parametrize("learner, support", [
+        (tank_learner(), range(1, 10)),
+        (EmxLearner(tower_scheme(finite_proxy_tower(FiniteDomain(size=12), 1, 7)), d=2),
+         range(2, 11)),
+        (EmxLearner(tower_scheme(finite_proxy_tower(FiniteDomain(size=10), 2, 5)), d=3),
+         range(1, 10)),
+        (cap_error_learner(), range(0, 2000, 250)),
+    ], ids=["tank", "depth-1", "depth-2", "cap-error"])
+    def test_every_subset_matches_apply_learner(self, monkeypatch, budget, learner, support):
+        """Every subset of the support, each asked for twice in a shuffled
+        order, gets the captured weight of apply_learner's hypothesis or
+        the text of the cap error it raises."""
+        monkeypatch.setattr(emx.evaluation, "EVALUATE_MEMO_POINTS", budget)
+        masses = {pid: Fraction(k + 1) for k, pid in enumerate(support)}
+        total = sum(masses.values())
+        dist = FiniteSupportDistribution({pid: w / total for pid, w in masses.items()})
+        subsets = [frozenset(c) for k in range(len(support) + 1)
+                   for c in itertools.combinations(support, k)]
+        queries = subsets * 2
+        random.Random(budget).shuffle(queries)
+        weight = emx.evaluation.learned_weights(learner, dist)
+        errors = 0
+        for distinct in queries:
+            got = weight(distinct)
+            try:
+                want = dist.captured_weight(apply_learner(learner, distinct))
+            except ResourceLimitError as err:
+                errors += 1
+                assert isinstance(got, ResourceLimitError) and str(got) == str(err)
+            else:
+                assert got == want
+        assert (errors > 0) == (learner.cap == 1)
+
+    def test_lost_mass_raises_a_scheme_error(self):
+        """Identity eta keeps only the kernel, so a two-point set loses
+        mass, while a one-point set is its own hypothesis."""
+        dist = FiniteSupportDistribution({0: "1/2", 7: "1/2"})
+        weight = emx.evaluation.learned_weights(EmxLearner(identity_eta_scheme(1), d=1), dist)
+        assert weight(frozenset({7})) == dist.captured_weight({7})
+        with pytest.raises(SchemeError, match="^hypothesis lost sample mass") as lost:
+            weight(frozenset({0, 7}))
+        assert isinstance(lost.value, emx.evaluation.LostSampleMass)
 
 
 def test_normal_quantile_known_values():

@@ -296,3 +296,50 @@ def test_cli_checks_no_config():
 )
 def test_config_check_rule(source, found):
     assert config_checks(ast.parse(source)) == found
+
+
+LEARNER_CALLS = ("compress_kernel", "decompress_chain", "captured_weight")
+
+
+def learner_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each call to compress_kernel, decompress_chain or
+    captured_weight outside `apply_learner` and `learned_weights`, the two
+    places that map a sample to its hypothesis or its captured weight."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, ast.FunctionDef):
+            inside = inside or node.name in ("apply_learner", "learned_weights")
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in LEARNER_CALLS:
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return sorted(found)
+
+
+def test_one_learned_weight_function():
+    """emx.evaluation learns a sample and measures its hypothesis only in
+    `learned_weights`, besides the unmemoized `apply_learner`."""
+    source = (ROOT / "evaluation.py").read_text(encoding="utf-8")
+    assert learner_calls(ast.parse(source)) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def learned_weights(l, d):\n    return d.captured_weight(s)", []),
+        ("def apply_learner(l, s):\n    return compress_kernel(s, l.scheme, {})", []),
+        ("def learned_weights(l, d):\n    def weight(s):\n        decompress_chain(k)", []),
+        ("def evaluate_grid():\n    w = dist.captured_weight(s)", [(2, "captured_weight")]),
+        ("def f():\n    return compress_kernel(s, scheme, memo)", [(2, "compress_kernel")]),
+        ("x = chains.decompress_chain(k, scheme, 1)", [(1, "decompress_chain")]),
+        ("from .chains import decompress_chain\ng = decompress_chain", []),
+    ],
+)
+def test_learner_call_rule(source, found):
+    assert learner_calls(ast.parse(source)) == found
