@@ -149,7 +149,7 @@ def cmd_descend(args) -> int:
 def cmd_compress(args) -> int:
     cfg = load_config(args.config)
     scheme = cfg.build_scheme()
-    trace = compress_chain(cfg.field("compress", "points"), scheme)
+    trace = compress_chain(cfg.compress_points(), scheme)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "trace.txt"), trace_to_text(trace))
     print(f"compressed {len(trace.original)} points to kernel {sorted(trace.kernel)}")

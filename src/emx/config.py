@@ -275,6 +275,15 @@ class ExperimentConfig:
                               f"{total} subsets, above the {EXHAUSTIVE_SUBSET_LIMIT} guard")
         return [frozenset(c) for c in combinations(range(points), arity + 1)]
 
+    def compress_points(self) -> list[int]:
+        """compress.points, every one inside a finite domain."""
+        points, size = self.field("compress", "points"), self.build_domain().size
+        if size is not None and max(points) >= size:
+            first = min(pid for pid in points if pid >= size)
+            raise ConfigError(f"{self.path}: compress.points holds point {first}, "
+                              f"at or above domain.size {size}")
+        return points
+
     def descend_inputs(self, arity: int) -> tuple[int, list[int]]:
         """Domain size (x_size, capped at a finite domain's size) and sub-domain
         (y, or the ids below y_size) for `descend`, which refuses ids outside a

@@ -9,9 +9,12 @@ reused across trials. The enumeration oracle is the 2-to-1 scheme
 written on its own, without the tower construction's extraction loop or
 its reconstruction cache, and the tank-learner oracle `max_estimator` is
 the take-the-maximum rule for serial numbers, with no scheme, chain or
-tower at all.
+tower at all. The reference tower is the finite proxy tower built the
+way it first was: every ordering hashed in full with hashlib, sorted, and
+keyed by position, with no cache and no laziness.
 """
 
+import hashlib
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -22,6 +25,7 @@ from emx.chains import DEFAULT_CAP, ResourceLimitError
 from emx.evaluation import TrialRecord
 from emx.schemes import SchemeError
 from emx.seeds import split_seed
+from emx.towers import OrderTower
 
 
 def first_assignment_brute_force(
@@ -107,6 +111,41 @@ def enumeration_reference(tower):
         return tower.enumerate_below((), tower.key(0, (), kept))
 
     return compress, reconstruct
+
+
+def per_id_hash(*parts):
+    """BLAKE2b-128 of the repr of each part, each followed by a NUL byte."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(repr(part).encode("ascii"))
+        h.update(b"\x00")
+    return h.digest()
+
+
+def reference_tower(size, depth, seed):
+    """The finite proxy tower on ids 0..size-1 by sort and position: each
+    (level, context) ordering sorts every id by (per-id digest, id), the
+    key of an id is its position there, and enumerate_below(c, b) is the
+    first b + 1 ids of c's level-0 ordering, none for a negative b."""
+    ids = range(size)
+
+    def ordering(level, context):
+        return sorted(ids, key=lambda pid: (per_id_hash(seed, level, context, pid), pid))
+
+    def keys(level, context):
+        positions = {pid: position for position, pid in enumerate(ordering(level, context))}
+
+        def key(pid):
+            if pid not in positions:
+                raise ValueError(f"point {pid} is not in the domain")
+            return positions[pid]
+
+        return key
+
+    def below(context, bound):
+        return frozenset(ordering(0, context)[: bound + 1]) if bound >= 0 else frozenset()
+
+    return OrderTower(depth, keys, below, frozenset(ids))
 
 
 def max_estimator(sample):

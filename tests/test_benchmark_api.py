@@ -29,6 +29,9 @@ def load_perfbench(name):
 
 
 def test_tracer_wraps_and_restores_every_site():
+    """Every (module, class, attribute) in SPAN_SITES and POINT_SITES
+    resolves in emx, so a rename fails here with the missing name, and
+    the tracer wraps each one and puts the original back."""
     tracer = load_perfbench("tracer")
     sites = [(module, None, attr) for module, attr, _ in tracer.SPAN_SITES]
     sites += [(module, cls, attr) for module, cls, attr, _ in tracer.POINT_SITES]

@@ -933,11 +933,15 @@ class TestExitCodes:
         "sections, line",
         [
             ({**TEN_POINT_TOWER, "compress": {"points": [1, 2, 100]}},
-             "error: point 100 is not in the domain\n"),
+             "config error: {path}: compress.points holds point 100, at or above domain.size 10\n"),
+            # two points on a depth-1 tower are already a kernel: no sigma step
+            # would see them
+            ({**TEN_POINT_TOWER, "compress": {"points": [60, 50]}},
+             "config error: {path}: compress.points holds point 50, at or above domain.size 10\n"),
             ({**NATURALS, "compress": {"points": [1, 2, -3]}},
              "config error: {path}: compress.points must be >= 0, got -3\n"),
         ],
-        ids=["finite-domain", "naturals"],
+        ids=["finite-domain", "finite-domain-kernel", "naturals"],
     )
     def test_point_outside_domain_message(self, tmp_path, capsys, sections, line):
         cfg = write_config(tmp_path, {"schema": "emx-experiment/1", **sections})
@@ -1216,6 +1220,8 @@ GUARDS = {
     ("descend", "y_size"): (r"descending over \d+ points needs \d+ subset evaluations, above",
                             {("descend", "y"): None}),
     ("descend", "y"): (r"descend sub-domain holds point \d+ of a countable domain, at", {}),
+    ("compress", "points"): (r"compress\.points holds point \d+, at or above domain\.size \d+",
+                             {("domain", "kind"): "finite"}),
 }
 
 
