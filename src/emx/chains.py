@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .schemes import MonotoneScheme
+from .schemes import MonotoneScheme, SchemeError
 
 DEFAULT_CAP = 1_000_000
 
@@ -119,23 +119,33 @@ def decompress_chain(
 
     Growth is monotone and every round adds finitely many points. Subsets
     already expanded are memoized and skipped, and expansion stops early
-    once a round adds nothing (no later round could). On a scheme with a
-    universe (the point set of a finite domain, which eta never leaves)
-    expansion also stops, at the start of a round or in the middle of
-    one, as soon as the set holds all of it: the eta calls left could add
-    nothing, so they are not made, and any error they would raise is not
-    raised. The cap turns combinatorial blowup into an explicit error
-    naming the iteration and the size reached; the cover stop changes
-    neither the result nor that error.
+    once a round adds nothing (no later round could). It also stops, at
+    the start of a round or in the middle of one, as soon as the set holds
+    every point eta could still add: on a scheme with a universe (the
+    point set of a finite domain, which eta never leaves) all of it, and
+    on a scheme that declares a ceiling (eta(t) inside the ids 0..max(t))
+    all of 0..max(R0), which no expansion of subsets of R0's ids can
+    leave; on a scheme with both, whichever is smaller. The eta calls
+    left could add nothing, so they are not made, and any error they
+    would raise is not raised. Under a ceiling every eta output computed
+    here is checked, and one outside 0..max(t) raises SchemeError. The cap
+    turns combinatorial blowup into an explicit error naming the
+    iteration and the size reached; the stop changes neither the result
+    nor that error.
     """
     kernel = frozenset(kernel)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     d = scheme.m
-    full = len(scheme.universe) if scheme.universe is not None else None
-    current = set(scheme.eta(kernel))
+    eta = _under_ceiling(scheme.eta) if scheme.ceiling else scheme.eta
+    current = set(eta(kernel))
     if len(current) > cap:
         raise ResourceLimitError(0, len(current), cap)
+    # how many points the set holds once it holds every one eta could add
+    full = len(scheme.universe) if scheme.universe is not None else None
+    if scheme.ceiling:
+        top = max(current, default=-1) + 1
+        full = top if full is None else min(full, top)
     expanded = {kernel}
     for iteration in range(1, iterations + 1):
         before = len(current)
@@ -146,7 +156,7 @@ def decompress_chain(
             if t in expanded:
                 continue
             expanded.add(t)
-            current |= scheme.eta(t)
+            current |= eta(t)
             if len(current) == full:
                 break
         if len(current) == before:
@@ -154,6 +164,25 @@ def decompress_chain(
         if len(current) > cap:
             raise ResourceLimitError(iteration, len(current), cap)
     return frozenset(current)
+
+
+def _under_ceiling(
+    eta: Callable[[frozenset[int]], frozenset[int]],
+) -> Callable[[frozenset[int]], frozenset[int]]:
+    """eta, checked against a declared ceiling: each output must lie inside
+    the ids 0..max(t)."""
+
+    def checked(t: frozenset[int]) -> frozenset[int]:
+        out = eta(t)
+        top = max(t, default=-1)
+        if out and (min(out) < 0 or max(out) > top):
+            outside = sorted(p for p in out if not 0 <= p <= top)
+            raise SchemeError(
+                f"eta output leaves 0..{top} under the scheme's ceiling at {outside[:5]}"
+            )
+        return out
+
+    return checked
 
 
 def trace_to_text(trace: CompressionTrace) -> str:

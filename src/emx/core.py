@@ -14,8 +14,7 @@ value here is immutable after construction.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
+from _random import Random  # random.Random's C base: the same stream for an int seed
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -67,10 +66,11 @@ class FiniteSupportDistribution:
             raise ValueError("distribution needs at least one support point")
         cleaned: dict[int, Fraction] = {}
         for point_id, raw in masses.items():
+            _check_id(point_id)
             mass = Fraction(raw)
             if mass <= 0:
                 raise ValueError(f"mass for point {point_id} must be positive, got {mass}")
-            cleaned[int(point_id)] = mass
+            cleaned[point_id] = mass
         total = sum(cleaned.values())
         if total != 1:
             raise ValueError(f"masses must sum to exactly 1, got {total}")
@@ -83,11 +83,30 @@ class FiniteSupportDistribution:
             for pid, mass in sorted(cleaned.items())
         }
         self._support = tuple(self._weights)
-        self._bounds = tuple(accumulate(self._weights.values()))
+        self._bounds = bounds = tuple(accumulate(self._weights.values()))
+        # The sampler's guide table: with k = D.bit_length(), r in 0..D-1
+        # falls in block r >> shift, one of at most 2**g with g = k - shift,
+        # and guide[j] is the index of the first bound above the block's
+        # first value j << shift, so the point r selects is guide[j] or a
+        # later one. Each block holds at most 2 / 2**g of the mass and
+        # 2**g > 4 * len(support), so a draw steps past fewer than 1/2
+        # bounds on average; with shift 0 it steps past none.
+        k = denom.bit_length()
+        shift = k - min(k, len(bounds).bit_length() + 2)
+        guide = []
+        i = 0
+        for j in range(((denom - 1) >> shift) + 1):
+            while bounds[i] <= j << shift:
+                i += 1
+            guide.append(i)
+        # everything draw_sample reads, in one attribute
+        self._sampler = (self._support, bounds, tuple(guide), denom, k, shift)
 
     @classmethod
     def uniform(cls, ids: Iterable[int]) -> "FiniteSupportDistribution":
         points = list(ids)
+        for point_id in points:
+            _check_id(point_id)
         if len(points) != len(set(points)):
             raise ValueError("uniform support must not repeat points")
         return cls({point_id: Fraction(1, len(points)) for point_id in points})
@@ -123,6 +142,11 @@ class FiniteSupportDistribution:
         return f"FiniteSupportDistribution({{{inner}}})"
 
 
+def _check_id(point_id: object) -> None:
+    if isinstance(point_id, bool) or not isinstance(point_id, int):
+        raise ValueError(f"point id must be an integer, got {point_id!r}")
+
+
 def expectation(dist: FiniteSupportDistribution, hypothesis: Container[int]) -> Fraction:
     """Mass the hypothesis captures: the exact sum of masses of covered
     support points."""
@@ -141,19 +165,28 @@ def draw_sample(dist: FiniteSupportDistribution, m: int, seed: int) -> tuple[int
 
     The draws are defined by this loop: with k = D.bit_length(), r is
     getrandbits(k) of Random(seed), drawn again while r >= D. It is the
-    rejection loop Random(seed).randrange(D) runs, written inline to save
-    two Python frames per draw, so r is exactly randrange(D);
-    `test_sampler_matches_randrange` pins the two together.
+    rejection loop random.Random(seed).randrange(D) runs, written inline
+    to save two Python frames per draw, so r is exactly randrange(D);
+    `test_sampler_matches_randrange` pins the two together. The generator
+    is the C base class of random.Random, seeded without random.Random's
+    Python-level wrappers; for an int seed its stream is the same, for
+    any other seed it is not, so the seed must be an int. The point r
+    selects is found through the distribution's guide table: start at
+    the guide entry of r's block and step past every bound <= r.
     """
+    if not isinstance(seed, int):
+        raise TypeError(f"sample seed must be an int, got {seed!r}")
     if m < 0:
         raise ValueError("sample size must be >= 0")
-    support, bounds, denom = dist.support, dist._bounds, dist.denominator
-    getrandbits = random.Random(seed).getrandbits
-    k = denom.bit_length()
+    support, bounds, guide, denom, k, shift = dist._sampler
+    getrandbits = Random(seed).getrandbits
     draws = []
     for _ in range(m):
         r = getrandbits(k)
         while r >= denom:
             r = getrandbits(k)
-        draws.append(support[bisect_right(bounds, r)])
+        i = guide[r >> shift]
+        while bounds[i] <= r:
+            i += 1
+        draws.append(support[i])
     return tuple(draws)

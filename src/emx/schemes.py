@@ -34,14 +34,18 @@ class SchemeError(ValueError):
 @dataclass(frozen=True)
 class MonotoneScheme:
     """Arity m, the compressor and reconstructor, an optional bound on
-    reconstruction size, and for a scheme on a finite domain its point
-    set, which every reconstruction must stay inside."""
+    reconstruction size, for a scheme on a finite domain its point set,
+    which every reconstruction must stay inside, and whether it declares a
+    ceiling: that eta(t) lies inside the ids 0..max(t). eta checks the
+    universe on every call; decompress_chain checks the ceiling on the
+    outputs it computes."""
 
     m: int
     compressor: Callable[[frozenset[int]], Iterable[int]]
     reconstructor: Callable[[frozenset[int]], frozenset[int]]
     budget: int | None = None
     universe: frozenset[int] | None = None
+    ceiling: bool = False
 
     def sigma(self, subset: Iterable[int]) -> frozenset[int]:
         """Compress an (m+1)-set to the m points the compressor keeps."""
@@ -86,7 +90,8 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
     set, which isolates the survivor, then unions in every point whose
     level-0 key under the final context is at most the survivor's. The
     dropped point has a smaller level-0 key in that same context, so it is
-    always inside the union.
+    always inside the union. On an id-ordered tower the scheme declares a
+    ceiling.
     """
 
     levels = range(tower.depth, 0, -1)
@@ -108,7 +113,9 @@ def tower_scheme(tower: OrderTower) -> MonotoneScheme:
         context, survivor = kept[:-1], kept[-1]
         return t | tower.enumerate_below(context, tower.key(0, context, survivor))
 
-    return MonotoneScheme(tower.depth + 1, keep, reconstruct, universe=tower.universe)
+    return MonotoneScheme(
+        tower.depth + 1, keep, reconstruct, universe=tower.universe, ceiling=tower.id_ordered
+    )
 
 
 def identity_eta_scheme(m: int = 1) -> MonotoneScheme:

@@ -39,20 +39,25 @@ ORDERING_CACHE_POINTS = 262_144  # 2**18
 
 @dataclass(frozen=True)
 class OrderTower:
-    """Depth, a key-function factory, a level-0 prefix enumerator and, for
-    a finite domain, its point set.
+    """Depth, a key-function factory, a level-0 prefix enumerator, for a
+    finite domain its point set, and whether its top level is id order.
 
     Invariants: keys are injective sort keys per (level, context); a
     context chain of length depth - level accompanies every level;
     enumerate_below(c, b) is exactly the finite set of points with level-0
     key <= b under c; universe is None or holds every point the tower
-    orders.
+    orders. id_ordered declares that the top level is id order and that
+    every level-0 segment stays at or below the top-level point it
+    descends from: inside 0..c[0] under a context c, and inside 0..p for
+    the bound key(0, (), p) at depth 0. A tower scheme's reconstruction
+    of t then never exceeds max(t).
     """
 
     depth: int
     keys_fn: Callable[[int, ContextChain], Callable[[int], SortKey]]
     below_fn: Callable[[ContextChain, SortKey], frozenset[int]]
     universe: frozenset[int] | None = None
+    id_ordered: bool = False
 
     def keys(self, level: int, context: ContextChain) -> Callable[[int], SortKey]:
         """The key function of one ordering, after checking that the level
@@ -151,7 +156,8 @@ def finite_proxy_tower(domain: FiniteDomain, depth: int, seed: int) -> OrderTowe
 def enumerated_tower(domain: CountableDomain) -> OrderTower:
     """Depth-0 tower whose single ordering is the countable domain's own
     order: the key of a point is its id, and the points below a bound are
-    the ids 0 .. bound, none for a negative bound."""
+    the ids 0 .. bound, none for a negative bound. Its top level is id
+    order."""
 
     def key(point_id: int) -> int:
         if point_id < 0:
@@ -164,4 +170,4 @@ def enumerated_tower(domain: CountableDomain) -> OrderTower:
     def below(context: ContextChain, bound: int) -> frozenset[int]:
         return frozenset(range(bound + 1))
 
-    return OrderTower(0, keys, below)
+    return OrderTower(0, keys, below, id_ordered=True)

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: the search oracle
 enumerates the full assignment space with no pruning or symmetry
 breaking, the decompression oracle walks every round in full with no
-cover stop, the compression oracle re-sorts the live set on every step,
+cover or ceiling stop, the compression oracle re-sorts the live set on every step,
 and the evaluation oracle runs each trial on Fractions with nothing
 reused across trials. The enumeration oracle is the 2-to-1 scheme
 written on its own, without the tower construction's extraction loop or
@@ -55,10 +55,10 @@ def scheme_exists_brute_force(n: int, m: int, budget: int) -> bool:
 
 
 def decompress_full(kernel, scheme, iterations, cap=DEFAULT_CAP):
-    """Chained decompression without the cover stop: R0 = eta(kernel),
-    then each round unions eta of every not yet expanded d-subset of the
-    cumulative set, until a round adds nothing or the rounds run out;
-    raises the library's ResourceLimitError past the cap."""
+    """Chained decompression without the cover or ceiling stop:
+    R0 = eta(kernel), then each round unions eta of every not yet expanded
+    d-subset of the cumulative set, until a round adds nothing or the
+    rounds run out; raises the library's ResourceLimitError past the cap."""
     kernel = frozenset(kernel)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")

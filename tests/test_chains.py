@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,13 @@ from emx.chains import (
     trace_to_text,
 )
 from emx.core import FiniteDomain, naturals_domain
-from emx.schemes import SchemeError, enumeration_scheme, identity_eta_scheme, tower_scheme
+from emx.schemes import (
+    MonotoneScheme,
+    SchemeError,
+    enumeration_scheme,
+    identity_eta_scheme,
+    tower_scheme,
+)
 from emx.towers import enumerated_tower, finite_proxy_tower
 from oracles import compress_per_step_sort, decompress_full
 
@@ -272,6 +279,107 @@ class TestDecompressOracle:
         assert outcome(decompress_chain, kernel, scheme, rounds, cap) == outcome(
             decompress_full, kernel, scheme, rounds, cap
         )
+
+
+def ceiling_scheme(m, step=1, n=None):
+    """An arity-m scheme that declares a ceiling, on the multiples of step,
+    the first n of them as its universe when n is given: eta(t) adds, for
+    each x in t, x - step and the multiple of step nearest below x / 2.
+    Its outputs lie inside 0..max(t) and are not prefixes, so a
+    decompression can fill 0..max(R0) in the middle of a round. Not
+    sound: it is only decompressed."""
+
+    def reconstruct(t):
+        return frozenset(t) | {x - step for x in t if x} | {x // (2 * step) * step for x in t}
+
+    universe = None if n is None else frozenset(range(0, n * step, step))
+    return MonotoneScheme(m, lambda beta: beta - {min(beta)}, reconstruct,
+                          universe=universe, ceiling=True)
+
+
+def counting(scheme):
+    """The scheme with its reconstructor wrapped, and the list of every
+    input it is called on."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return scheme.reconstructor(t)
+
+    return dataclasses.replace(scheme, reconstructor=counted), calls
+
+
+class TestCeilingStop:
+    def test_declared_by_the_enumerated_tower(self):
+        assert enumerated_tower(naturals_domain()).id_ordered
+        assert naturals_scheme().ceiling
+
+    @given(st.integers(2, 40), st.integers(0, 2), st.integers(0, 2**32))
+    @settings(max_examples=30)
+    def test_no_proxy_tower_scheme_declares_one(self, n, depth, seed):
+        tower = finite_proxy_tower(FiniteDomain(size=n), depth, seed)
+        assert not tower.id_ordered
+        assert not tower_scheme(tower).ceiling
+
+    @given(st.sets(st.integers(0, 10**4), min_size=1, max_size=30), st.integers(0, 40))
+    def test_one_eta_call_per_enumeration_decompression(self, points, rounds):
+        scheme, calls = counting(naturals_scheme())
+        kernel = compress_chain(points, scheme).kernel
+        calls.clear()
+        assert decompress_chain(kernel, scheme, rounds) == frozenset(range(max(points) + 1))
+        assert calls == [kernel]
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_full_expansion_with_non_prefix_outputs(self, data):
+        m = data.draw(st.integers(1, 2), label="m")
+        step = data.draw(st.sampled_from([1, 3]), label="step")
+        n = data.draw(st.one_of(st.none(), st.integers(m + 1, 40)), label="n")
+        top = 40 if n is None else n - 1
+        kernel = data.draw(st.sets(st.integers(0, top), min_size=m, max_size=m), label="kernel")
+        kernel = {x * step for x in kernel}
+        rounds = data.draw(st.integers(0, 12), label="rounds")
+        cap = data.draw(st.one_of(st.just(DEFAULT_CAP), st.integers(1, 40)), label="cap")
+        scheme = ceiling_scheme(m, step, n)
+        assert outcome(decompress_chain, kernel, scheme, rounds, cap) == outcome(
+            decompress_full, kernel, scheme, rounds, cap
+        )
+
+    @pytest.mark.parametrize(
+        "step, n, kernel, full",
+        [
+            (1, None, {5, 12}, frozenset(range(13))),
+            # the universe, 11 points, is smaller than 0..max(R0) = 0..30
+            (3, 11, {27, 30}, frozenset(range(0, 33, 3))),
+        ],
+    )
+    def test_stops_in_the_middle_of_a_round(self, step, n, kernel, full):
+        """Take the first round whose expansion holds every point eta can
+        add. The rounds before it make the same eta calls on both paths, so
+        fewer calls in all means the stop fired inside it."""
+        scheme, calls = counting(ceiling_scheme(2, step, n))
+        rounds = next(r for r in range(20) if decompress_full(kernel, scheme, r) == full)
+        calls.clear()
+        assert decompress_full(kernel, scheme, rounds) == full
+        expanded = len(calls)
+        calls.clear()
+        assert decompress_chain(kernel, scheme, rounds) == full
+        assert len(calls) < expanded
+
+    @pytest.mark.parametrize(
+        "reconstruct, message",
+        [
+            (lambda t: {max(t) + 1} | t, "leaves 0..9 under the scheme's ceiling at [10]"),
+            (lambda t: {-1} | t, "leaves 0..9 under the scheme's ceiling at [-1]"),
+            # R0 = {9, 8}; round 1 expands {8}, whose output holds 9
+            (lambda t: t | {max(t) + (1 if max(t) % 2 == 0 else -1)},
+             "leaves 0..8 under the scheme's ceiling at [9]"),
+        ],
+    )
+    def test_false_declaration_raises(self, reconstruct, message):
+        scheme = MonotoneScheme(1, lambda beta: beta - {min(beta)}, reconstruct, ceiling=True)
+        with pytest.raises(SchemeError, match=re.escape(message)):
+            decompress_chain({9}, scheme, 3)
 
 
 class TestRoundTrip:

@@ -1,9 +1,12 @@
 import math
+import re
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import emx.core
 from emx.core import (
     FiniteDomain,
     FiniteSupportDistribution,
@@ -64,6 +67,26 @@ class TestDistribution:
             FiniteSupportDistribution({1: Fraction(0), 2: Fraction(1)})
         with pytest.raises(ValueError):
             FiniteSupportDistribution({1: Fraction(-1, 2), 2: Fraction(3, 2)})
+
+    @pytest.mark.parametrize(
+        "masses, shown",
+        [
+            ({1.5: "1/2", 2: "1/2"}, "1.5"),
+            ({"1": "1/2", 1: "1/2"}, "'1'"),
+            ({True: 1}, "True"),
+            ({None: 1}, "None"),
+        ],
+    )
+    def test_rejects_ids_that_are_not_ints(self, masses, shown):
+        message = re.escape(f"point id must be an integer, got {shown}")
+        with pytest.raises(ValueError, match=message):
+            FiniteSupportDistribution(masses)
+
+    @pytest.mark.parametrize("ids, shown", [([1, 2.0], "2.0"), ([1, True], "True"), (["3"], "'3'")])
+    def test_uniform_rejects_ids_that_are_not_ints(self, ids, shown):
+        message = re.escape(f"point id must be an integer, got {shown}")
+        with pytest.raises(ValueError, match=message):
+            FiniteSupportDistribution.uniform(ids)
 
     def test_uniform_and_point_mass(self):
         d = FiniteSupportDistribution.uniform([3, 1, 2])
@@ -171,3 +194,65 @@ class TestSampling:
         d = FiniteSupportDistribution({3: Fraction(2, 5), 8: Fraction(3, 5)})
         sample = draw_sample(d, 200, 7)
         assert frozenset(sample) <= {3, 8}
+
+    @pytest.mark.parametrize("seed", ["1", 1.0, None, b"1"])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_seed_that_is_not_an_int_is_refused(self, monkeypatch, seed, m):
+        """random.Random seeds a str or bytes differently from the C
+        generator, and None from the system: refused before a generator
+        is made."""
+        made = []
+        monkeypatch.setattr(emx.core, "Random", made.append)
+        d = FiniteSupportDistribution.uniform([1, 2])
+        with pytest.raises(TypeError, match="sample seed must be an int"):
+            draw_sample(d, m, seed)
+        assert made == []
+
+
+def guide_lookup(dist, r):
+    """The index of the point r selects, found as draw_sample finds it:
+    from the guide entry of r's block, past every bound <= r."""
+    _, bounds, guide, _, _, shift = dist._sampler
+    i = guide[r >> shift]
+    while bounds[i] <= r:
+        i += 1
+    return i
+
+
+class TestGuideTable:
+    @given(st.lists(st.integers(1, 409), min_size=1, max_size=10))
+    @settings(max_examples=60)
+    def test_lookup_is_bisect_on_every_outcome(self, weights):
+        """Every r in 0..D-1 for D <= 2**12 (weights over their sum, so D
+        may be a divisor of the sum)."""
+        total = sum(weights)
+        d = FiniteSupportDistribution(
+            {pid: Fraction(w, total) for pid, w in enumerate(weights)})
+        bounds = d._bounds
+        assert d.denominator <= 2**12
+        assert all(guide_lookup(d, r) == bisect_right(bounds, r) for r in range(d.denominator))
+
+    @pytest.mark.parametrize("denom", sorted(
+        {1} | {2**k + delta for k in (1, 5, 31, 32, 33, 64, 100) for delta in (-1, 0, 1)}))
+    @given(st.data())
+    @settings(max_examples=20)
+    def test_lookup_is_bisect_at_block_and_bound_edges(self, denom, data):
+        """The weights of `test_sampler_matches_randrange`, at the first and
+        last outcome of every block and on either side of every bound."""
+        a = data.draw(st.integers(0, denom - 1))
+        weights = [w for w in (1, a, denom - 1 - a) if w]
+        d = FiniteSupportDistribution(
+            {pid: Fraction(w, denom) for pid, w in enumerate(weights)})
+        _, bounds, guide, _, _, shift = d._sampler
+        edges = {e for j in range(len(guide)) for e in ((j << shift) - 1, j << shift)}
+        edges |= {e for b in bounds for e in (b - 1, b)}
+        for r in sorted(e for e in edges if 0 <= e < denom):
+            assert guide_lookup(d, r) == bisect_right(bounds, r)
+
+    def test_exact_on_the_tank_distribution(self):
+        """On uniform 1..20 every outcome has its own block: the guide
+        entry is the point, with no bound to step past."""
+        d = FiniteSupportDistribution.uniform(range(1, 21))
+        _, bounds, guide, _, _, shift = d._sampler
+        assert shift == 0
+        assert list(guide) == [bisect_right(bounds, r) for r in range(20)]

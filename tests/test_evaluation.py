@@ -472,6 +472,19 @@ class TestEvaluateOracle:
         assert dist.denominator == denom
         assert draw_sample(dist, m, seed) == draw_sample_reference(dist, m, seed)
 
+    @pytest.mark.parametrize(
+        "seed", [-2**40, -1, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**200 + 7])
+    @pytest.mark.parametrize("weights", [[1] * 20, [1, 2**99, 2**99]])
+    def test_sampler_stream_is_random_randoms(self, seed, weights):
+        """The C generator draw_sample seeds yields random.Random(seed)'s
+        stream at the int seeds where seeding changes form (negative, one
+        word, two words and many), on one-word draws that each name their
+        outcome and on multi-word draws."""
+        denom = sum(weights)
+        dist = FiniteSupportDistribution(
+            {pid: Fraction(w, denom) for pid, w in enumerate(weights)})
+        assert draw_sample(dist, 40, seed) == draw_sample_reference(dist, 40, seed)
+
     @given(
         st.integers(6, 24), st.integers(0, 2**32), st.data(), st.integers(0, 10),
         st.integers(0, 2**64 - 1),

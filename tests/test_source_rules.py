@@ -343,3 +343,57 @@ def test_one_learned_weight_function():
 )
 def test_learner_call_rule(source, found):
     assert learner_calls(ast.parse(source)) == found
+
+
+RANDOM_MODULES = ("random", "_random", "bisect")
+DRAW_NAMES = ("Random", "getrandbits", "randrange", "bisect_right", "_bounds", "_sampler")
+
+
+def sampler_access(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each import of random, _random or bisect, and each
+    read of a generator, its draw methods, a CDF search, or the
+    distribution's CDF and sampler table: what a second sampler would
+    need."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names if a.name in RANDOM_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.module in RANDOM_MODULES:
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Name) and node.id in DRAW_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in DRAW_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_one_sampler():
+    """emx.evaluation draws only through draw_sample, and only emx.core
+    imports the C generator, whose stream equals random.Random's for int
+    seeds alone."""
+    trees = dict(package_trees())
+    assert sampler_access(trees[Path("evaluation.py")]) == []
+    importers = {
+        str(name) for name, tree in trees.items() if any(
+            found == "_random" for _, found in sampler_access(tree))
+    }
+    assert importers == {"core.py"}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .core import draw_sample\ndraws = draw_sample(dist, m, seed)", []),
+        ("import random\nrng = random.Random(seed)", [(1, "random"), (2, "Random")]),
+        ("from _random import Random", [(1, "_random")]),
+        ("import _random as fast", [(1, "_random")]),
+        ("from random import getrandbits", [(1, "random")]),
+        ("r = rng.getrandbits(k)", [(1, "getrandbits")]),
+        ("i = bisect_right(dist._bounds, r)", [(1, "_bounds"), (1, "bisect_right")]),
+        ("support, bounds, guide, *_ = dist._sampler", [(1, "_sampler")]),
+        ("import bisect, json", [(1, "bisect")]),
+        ("from .seeds import split_seed\nsplit_seed(seed, index)", []),
+    ],
+)
+def test_sampler_access_rule(source, found):
+    assert sampler_access(ast.parse(source)) == found
